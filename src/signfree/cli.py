@@ -37,11 +37,13 @@ __all__ = ["main", "main_entry", "run_tables", "run_verify", "run_roots"]
 
 def _eval_line(text: str) -> int:
     try:
-        value = expressions.eval_text(text)
+        # formatting can fail too: str() of a huge int exceeds the
+        # interpreter's int-to-str digit limit with a ValueError
+        shown = expressions.format_value(expressions.eval_text(text))
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(expressions.format_value(value))
+    print(shown)
     return 0
 
 

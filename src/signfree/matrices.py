@@ -4,7 +4,9 @@ A :class:`CyclicMatrix` is stored and printed with rows a, b, c top to
 bottom and columns A, B, C left to right.  Each column is a
 :class:`~signfree.triples.CyclicTriple`, and the columns themselves
 follow the same cyclic rule (B*B lands in C, B*C in A, C*C in B), which
-makes the product commutative, associative and distributive.
+makes the product commutative, associative and distributive: it is the
+shared cyclic core (:mod:`signfree._cyclic`) with three triple parts,
+Q(sqrt 3)[C3 x C3].
 
 Two families of additive zeros exist:
 
@@ -23,10 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as _iter_product
 from typing import Iterable
 
+from ._cyclic import CyclicElement
 from .scalars import ExactScalar, as_scalar, require_nonneg
 from .triples import CyclicTriple
 
@@ -39,7 +41,6 @@ __all__ = [
     "characters_close",
 ]
 
-_SCALARISH = (ExactScalar, int, Fraction, str)
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 _OMEGA2 = complex(-0.5, -math.sqrt(3.0) / 2.0)
 
@@ -84,15 +85,14 @@ def _as_column(value: object, which: str) -> CyclicTriple:
     raise TypeError(f"column {which} must be a CyclicTriple or a 3-sequence")
 
 
-class CyclicMatrix:
+class CyclicMatrix(CyclicElement):
     """Three cyclic-triple columns A, B, C multiplying cyclically."""
 
-    __slots__ = ("_col_a", "_col_b", "_col_c")
+    __slots__ = ()
+    _NOUN = "matrices"
 
     def __init__(self, col_a: object, col_b: object, col_c: object) -> None:
-        self._col_a = _as_column(col_a, "A")
-        self._col_b = _as_column(col_b, "B")
-        self._col_c = _as_column(col_c, "C")
+        self._parts = (_as_column(col_a, "A"), _as_column(col_b, "B"), _as_column(col_c, "C"))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[object]]) -> "CyclicMatrix":
@@ -121,76 +121,45 @@ class CyclicMatrix:
 
     @property
     def col_a(self) -> CyclicTriple:
-        return self._col_a
+        return self._parts[0]
 
     @property
     def col_b(self) -> CyclicTriple:
-        return self._col_b
+        return self._parts[1]
 
     @property
     def col_c(self) -> CyclicTriple:
-        return self._col_c
+        return self._parts[2]
 
     @property
     def columns(self) -> tuple[CyclicTriple, CyclicTriple, CyclicTriple]:
-        return (self._col_a, self._col_b, self._col_c)
+        return self._parts
 
     def rows(self) -> tuple[tuple[ExactScalar, ExactScalar, ExactScalar], ...]:
         """Entries in the printed layout (rows top to bottom)."""
-        cols = [col.components for col in self.columns]
+        cols = [col.components for col in self._parts]
         return tuple(tuple(cols[s][r] for s in range(3)) for r in range(3))
 
-    def __add__(self, other: object) -> "CyclicMatrix":
-        if not isinstance(other, CyclicMatrix):
-            return NotImplemented
-        return CyclicMatrix(
-            self._col_a + other._col_a,
-            self._col_b + other._col_b,
-            self._col_c + other._col_c,
-        )
-
     def __mul__(self, other: object) -> "CyclicMatrix":
-        if isinstance(other, CyclicMatrix):
-            a1, b1, c1 = self.columns
-            a2, b2, c2 = other.columns
-            return CyclicMatrix(
-                a1 * a2 + b1 * c2 + b2 * c1,
-                a1 * b2 + a2 * b1 + c1 * c2,
-                a1 * c2 + a2 * c1 + b1 * b2,
-            )
-        if isinstance(other, _SCALARISH):
-            factor = require_nonneg(other, "scale factor")
-            return CyclicMatrix(factor * self._col_a, factor * self._col_b, factor * self._col_c)
-        return NotImplemented
+        return self._times(other)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "CyclicMatrix":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative powers are not defined for matrices")
-        result = CyclicMatrix.one()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return super().__pow__(exponent)  # an own entry, see signfree._cyclic
 
     def reduce(self) -> "CyclicMatrix":
         """Reduce each column independently by its own minimum; idempotent."""
-        return CyclicMatrix(self._col_a.reduce(), self._col_b.reduce(), self._col_c.reduce())
+        return self._make(tuple(col.reduce() for col in self._parts))
 
     @property
     def is_reduced(self) -> bool:
-        return all(col.is_reduced for col in self.columns)
+        return all(col.is_reduced for col in self._parts)
 
     def row_sums(self) -> CyclicTriple:
         """The triple of row sums; an exact homomorphism onto triples."""
-        return self._col_a + self._col_b + self._col_c
+        col_a, col_b, col_c = self._parts
+        return col_a + col_b + col_c
 
     def norm_sq(self) -> ExactScalar:
         return self.row_sums().norm_sq()
@@ -200,9 +169,7 @@ class CyclicMatrix:
 
     def characters(self) -> tuple[complex, complex, complex]:
         """Three complex fingerprints, constant on equivalence classes."""
-        pa = self._col_a.to_complex()
-        pb = self._col_b.to_complex()
-        pc = self._col_c.to_complex()
+        pa, pb, pc = (col.to_complex() for col in self._parts)
         return (
             pa + pb + pc,
             pa + _OMEGA * pb + _OMEGA2 * pc,
@@ -212,10 +179,11 @@ class CyclicMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclicMatrix):
             return NotImplemented
-        return all(mine == theirs for mine, theirs in zip(self.columns, other.columns))
+        # column by column, stopping at the first unequal one
+        return all(mine == theirs for mine, theirs in zip(self._parts, other._parts))
 
     def __hash__(self) -> int:
-        return hash(("CyclicMatrix",) + tuple(col.reduce().components for col in self.columns))
+        return hash(("CyclicMatrix",) + tuple(col.reduce().components for col in self._parts))
 
     def __str__(self) -> str:
         rows = self.rows()
@@ -223,7 +191,7 @@ class CyclicMatrix:
         return f"m{{{body}}}"
 
     def __repr__(self) -> str:
-        return f"CyclicMatrix({self._col_a!r}, {self._col_b!r}, {self._col_c!r})"
+        return "CyclicMatrix({!r}, {!r}, {!r})".format(*self._parts)
 
 
 def absolute_zero(xi: object, zeta: object, eta: object) -> CyclicMatrix:

@@ -4,28 +4,29 @@ An :class:`UnsignedPair` ``p{plus,minus}`` encodes the real number
 ``plus - minus``.  Addition and multiplication are subtraction-free, so
 components never go negative; any common excess in the two components
 is redundant history that :meth:`UnsignedPair.reduce` strips.  Equality
-compares reduced forms.
+compares reduced forms.  The arithmetic is the shared cyclic core
+(:mod:`signfree._cyclic`) with two parts: Q(sqrt 3)[C2].
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from ._cyclic import CyclicElement
 from .scalars import ExactScalar, as_scalar, require_nonneg
 
 __all__ = ["UnsignedPair"]
 
-_SCALARISH = (ExactScalar, int, Fraction, str)
 
-
-class UnsignedPair:
+class UnsignedPair(CyclicElement):
     """A real number as ``{plus, minus}`` with both parts >= 0."""
 
-    __slots__ = ("_plus", "_minus")
+    __slots__ = ()
+    _NOUN = "pairs"
 
     def __init__(self, plus: object = 0, minus: object = 0) -> None:
-        self._plus = require_nonneg(plus, "plus component")
-        self._minus = require_nonneg(minus, "minus component")
+        self._parts = (
+            require_nonneg(plus, "plus component"),
+            require_nonneg(minus, "minus component"),
+        )
 
     @classmethod
     def from_signed(cls, value: object) -> "UnsignedPair":
@@ -36,71 +37,27 @@ class UnsignedPair:
         return cls(scalar, 0)
 
     def to_signed(self) -> ExactScalar:
-        return self._plus - self._minus
+        return self.plus - self.minus
 
     @property
     def plus(self) -> ExactScalar:
-        return self._plus
+        return self._parts[0]
 
     @property
     def minus(self) -> ExactScalar:
-        return self._minus
-
-    @property
-    def components(self) -> tuple[ExactScalar, ExactScalar]:
-        return (self._plus, self._minus)
+        return self._parts[1]
 
     def reduce(self) -> "UnsignedPair":
         """Subtract the smaller component from both; idempotent."""
-        overlap = min(self._plus, self._minus)
-        return UnsignedPair(self._plus - overlap, self._minus - overlap)
-
-    @property
-    def is_reduced(self) -> bool:
-        return self._plus.sign() == 0 or self._minus.sign() == 0
-
-    def __add__(self, other: object) -> "UnsignedPair":
-        if not isinstance(other, UnsignedPair):
-            return NotImplemented
-        return UnsignedPair(self._plus + other._plus, self._minus + other._minus)
+        return self._reduce()
 
     def __mul__(self, other: object) -> "UnsignedPair":
-        if isinstance(other, UnsignedPair):
-            a1, b1 = self._plus, self._minus
-            a2, b2 = other._plus, other._minus
-            return UnsignedPair(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1)
-        if isinstance(other, _SCALARISH):
-            factor = require_nonneg(other, "scale factor")
-            return UnsignedPair(factor * self._plus, factor * self._minus)
-        return NotImplemented
+        return self._times(other)
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "UnsignedPair":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative powers are not defined for pairs")
-        result = UnsignedPair(1, 0)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UnsignedPair):
-            return NotImplemented
-        return self.reduce().components == other.reduce().components
-
-    def __hash__(self) -> int:
-        return hash(("UnsignedPair",) + self.reduce().components)
-
     def __str__(self) -> str:
-        return f"p{{{self._plus},{self._minus}}}"
+        return "p{{{},{}}}".format(*self._parts)
 
     def __repr__(self) -> str:
-        return f"UnsignedPair({self._plus}, {self._minus})"
+        return "UnsignedPair({}, {})".format(*self._parts)

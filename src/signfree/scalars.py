@@ -12,10 +12,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import total_ordering
+from typing import Callable, TypeVar
 
-__all__ = ["ExactScalar", "SQRT3", "as_scalar", "require_nonneg"]
+__all__ = ["ExactScalar", "SQRT3", "as_scalar", "power", "require_nonneg"]
 
 _SQRT3_FLOAT = math.sqrt(3.0)
+
+_T = TypeVar("_T")
 
 
 def _fraction_sign(value: Fraction) -> int:
@@ -36,6 +39,24 @@ def require_nonneg(value: "ExactScalar | Fraction | int | str", what: str) -> "E
     if scalar.sign() < 0:
         raise ValueError(f"{what} must be nonnegative, got {scalar}")
     return scalar
+
+
+def power(base: _T, exponent: int, one: Callable[[], _T]) -> _T:
+    """``base ** exponent`` for ``exponent >= 0``: the one power loop.
+
+    Square-and-multiply with ``bit_length(n) + popcount(n) - 2`` products
+    for ``n >= 1``, none by one; `one()` gives the result for ``n == 0``.
+    """
+    if exponent == 0:
+        return one()
+    result = None
+    while True:
+        if exponent & 1:
+            result = base if result is None else result * base
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = base * base
 
 
 @total_ordering
@@ -125,15 +146,7 @@ class ExactScalar:
             return NotImplemented
         if exponent < 0:
             return ExactScalar(1) / self ** (-exponent)
-        result = ExactScalar(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, exponent, lambda: ExactScalar(1))
 
     def sign(self) -> int:
         """Exact sign of the value, decided without floating point."""
@@ -169,7 +182,20 @@ class ExactScalar:
         return bool(self._rat) or bool(self._root)
 
     def __float__(self) -> float:
-        return float(self._rat) + float(self._root) * _SQRT3_FLOAT
+        q, r = self._rat, self._root
+        if (q < 0 < r) or (r < 0 < q):
+            # Rounded apart, q and r*sqrt3 of opposite signs cancel.  The
+            # conjugate form (q^2 - 3r^2) / (q - r*sqrt3) adds like signs
+            # only.  Scaling both parts by 2**-e keeps the squares in range.
+            e = max(math.frexp(float(q))[1], math.frexp(float(r))[1])
+            unit = Fraction(2) ** -e
+            q2, r2 = q * unit, r * unit
+            scaled = float(q2 * q2 - 3 * r2 * r2) / (float(q2) - float(r2) * _SQRT3_FLOAT)
+            try:
+                return math.ldexp(scaled, e)
+            except OverflowError:  # near the largest float, where the plain sum is finite
+                pass
+        return float(q) + float(r) * _SQRT3_FLOAT
 
     def __str__(self) -> str:
         if self._root == 0:

@@ -5,7 +5,9 @@ cyclic product rule (second basis element squared gives the third, and
 so on around).  Adding a constant vector ``(k, k, k)`` never changes the
 encoded value, so equality compares reduced forms.  Under that quotient
 the system is the complex plane: ``(a, b, c)`` stands for
-``a + b*w + c*w**2`` with ``w = exp(2*pi*i/3)``.
+``a + b*w + c*w**2`` with ``w = exp(2*pi*i/3)``.  The arithmetic is
+the shared cyclic core (:mod:`signfree._cyclic`) with three parts:
+Q(sqrt 3)[C3].
 """
 
 from __future__ import annotations
@@ -13,32 +15,27 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ._cyclic import CyclicElement
 from .scalars import ExactScalar, as_scalar, require_nonneg
 
 __all__ = ["CyclicTriple"]
 
-_SCALARISH = (ExactScalar, int, Fraction, str)
 _HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
 
 
-class CyclicTriple:
+class CyclicTriple(CyclicElement):
     """Nonnegative ``(a, b, c)`` with cyclic multiplication."""
 
-    __slots__ = ("_a", "_b", "_c")
+    __slots__ = ()
+    _NOUN = "triples"
 
     def __init__(self, a: object = 0, b: object = 0, c: object = 0) -> None:
-        self._a = require_nonneg(a, "component a")
-        self._b = require_nonneg(b, "component b")
-        self._c = require_nonneg(c, "component c")
-
-    @classmethod
-    def zero(cls) -> "CyclicTriple":
-        return cls(0, 0, 0)
-
-    @classmethod
-    def one(cls) -> "CyclicTriple":
-        return cls(1, 0, 0)
+        self._parts = (
+            require_nonneg(a, "component a"),
+            require_nonneg(b, "component b"),
+            require_nonneg(c, "component c"),
+        )
 
     @classmethod
     def from_signed(cls, value: object) -> "CyclicTriple":
@@ -72,64 +69,24 @@ class CyclicTriple:
 
     @property
     def a(self) -> ExactScalar:
-        return self._a
+        return self._parts[0]
 
     @property
     def b(self) -> ExactScalar:
-        return self._b
+        return self._parts[1]
 
     @property
     def c(self) -> ExactScalar:
-        return self._c
-
-    @property
-    def components(self) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
-        return (self._a, self._b, self._c)
-
-    def __add__(self, other: object) -> "CyclicTriple":
-        if not isinstance(other, CyclicTriple):
-            return NotImplemented
-        return CyclicTriple(self._a + other._a, self._b + other._b, self._c + other._c)
+        return self._parts[2]
 
     def __mul__(self, other: object) -> "CyclicTriple":
-        if isinstance(other, CyclicTriple):
-            a1, b1, c1 = self._a, self._b, self._c
-            a2, b2, c2 = other._a, other._b, other._c
-            return CyclicTriple(
-                a1 * a2 + b1 * c2 + b2 * c1,
-                a1 * b2 + a2 * b1 + c1 * c2,
-                a1 * c2 + a2 * c1 + b1 * b2,
-            )
-        if isinstance(other, _SCALARISH):
-            factor = require_nonneg(other, "scale factor")
-            return CyclicTriple(factor * self._a, factor * self._b, factor * self._c)
-        return NotImplemented
+        return self._times(other)
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "CyclicTriple":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative powers are not defined for triples")
-        result = CyclicTriple.one()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def reduce(self) -> "CyclicTriple":
         """Subtract the minimum component from all three; idempotent."""
-        m = min(self._a, self._b, self._c)
-        return CyclicTriple(self._a - m, self._b - m, self._c - m)
-
-    @property
-    def is_reduced(self) -> bool:
-        return min(self._a, self._b, self._c).sign() == 0
+        return self._reduce()
 
     def norm_sq(self) -> ExactScalar:
         """Exact squared length: a^2 + b^2 + c^2 - ab - ac - bc.
@@ -137,7 +94,7 @@ class CyclicTriple:
         Invariant under adding constant vectors, multiplicative, and zero
         exactly when a = b = c.
         """
-        a, b, c = self._a, self._b, self._c
+        a, b, c = self._parts
         return a * a + b * b + c * c - a * b - a * c - b * c
 
     def norm(self) -> float:
@@ -145,23 +102,22 @@ class CyclicTriple:
 
     def conj(self) -> "CyclicTriple":
         """Swap b and c: the complex conjugate under the quotient."""
-        return CyclicTriple(self._a, self._c, self._b)
+        a, b, c = self._parts
+        return self._make((a, c, b))
 
     def to_complex(self) -> complex:
-        re = self._a - (self._b + self._c) * ExactScalar(_HALF)
-        im = (self._b - self._c) * ExactScalar(0, _HALF)
+        a, b, c = self._parts
+        re = a - (b + c) * ExactScalar(_HALF)
+        im = (b - c) * ExactScalar(0, _HALF)
         return complex(float(re), float(im))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CyclicTriple):
-            return NotImplemented
-        return self.reduce().components == other.reduce().components
+        return super().__eq__(other)  # an own entry, see signfree._cyclic
 
-    def __hash__(self) -> int:
-        return hash(("CyclicTriple",) + self.reduce().components)
+    __hash__ = CyclicElement.__hash__
 
     def __str__(self) -> str:
-        return f"t{{{self._a},{self._b},{self._c}}}"
+        return "t{{{},{},{}}}".format(*self._parts)
 
     def __repr__(self) -> str:
-        return f"CyclicTriple({self._a}, {self._b}, {self._c})"
+        return "CyclicTriple({}, {}, {})".format(*self._parts)

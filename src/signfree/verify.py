@@ -31,6 +31,7 @@ __all__ = ["CheckResult", "CHECK_NAMES", "run_checks", "TOLERANCE"]
 TOLERANCE = 1e-9
 
 _SMALL_DENOMS = (1, 1, 1, 1, 2, 3, 4)
+_Draw = Callable[[random.Random], object]  # one random entry
 
 
 def _rand_nonneg(rng: random.Random) -> Fraction:
@@ -49,20 +50,16 @@ def _rand_pair(rng: random.Random) -> UnsignedPair:
     return UnsignedPair(_rand_nonneg(rng), _rand_nonneg(rng))
 
 
-def _rand_triple(rng: random.Random) -> CyclicTriple:
-    return CyclicTriple(_rand_nonneg(rng), _rand_nonneg(rng), _rand_nonneg(rng))
+def _rand_digit(rng: random.Random) -> int:
+    return rng.randint(0, 9)
 
 
-def _rand_int_triple(rng: random.Random) -> CyclicTriple:
-    return CyclicTriple(rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
+def _rand_triple(rng: random.Random, entry: _Draw = _rand_nonneg) -> CyclicTriple:
+    return CyclicTriple(entry(rng), entry(rng), entry(rng))
 
 
-def _rand_matrix(rng: random.Random) -> CyclicMatrix:
-    return CyclicMatrix(_rand_triple(rng), _rand_triple(rng), _rand_triple(rng))
-
-
-def _rand_int_matrix(rng: random.Random) -> CyclicMatrix:
-    return CyclicMatrix(_rand_int_triple(rng), _rand_int_triple(rng), _rand_int_triple(rng))
+def _rand_matrix(rng: random.Random, entry: _Draw = _rand_nonneg) -> CyclicMatrix:
+    return CyclicMatrix(_rand_triple(rng, entry), _rand_triple(rng, entry), _rand_triple(rng, entry))
 
 
 @dataclass
@@ -91,14 +88,19 @@ class _Recorder:
                 self.detail = describe()
 
 
+def _expect_ring_laws(rec: _Recorder, x: object, y: object, z: object) -> None:
+    """The commutative ring laws on one sample; the systems share them."""
+    rec.expect(x + y == y + x, lambda: f"add commutativity: {x}, {y}")
+    rec.expect((x + y) + z == x + (y + z), lambda: f"add associativity: {x}, {y}, {z}")
+    rec.expect(x * y == y * x, lambda: f"mul commutativity: {x}, {y}")
+    rec.expect((x * y) * z == x * (y * z), lambda: f"mul associativity: {x}, {y}, {z}")
+    rec.expect(x * (y + z) == x * y + x * z, lambda: f"distributivity: {x}, {y}, {z}")
+
+
 def _check_scalar_field_laws(n: int, rng: random.Random, rec: _Recorder) -> None:
     for _ in range(n):
         x, y, z = (_rand_scalar(rng) for _ in range(3))
-        rec.expect(x + y == y + x, lambda: f"add commutativity: {x}, {y}")
-        rec.expect((x + y) + z == x + (y + z), lambda: f"add associativity: {x}, {y}, {z}")
-        rec.expect(x * y == y * x, lambda: f"mul commutativity: {x}, {y}")
-        rec.expect((x * y) * z == x * (y * z), lambda: f"mul associativity: {x}, {y}, {z}")
-        rec.expect(x * (y + z) == x * y + x * z, lambda: f"distributivity: {x}, {y}, {z}")
+        _expect_ring_laws(rec, x, y, z)
 
 
 def _check_scalar_sign_and_reciprocal(n: int, rng: random.Random, rec: _Recorder) -> None:
@@ -116,11 +118,7 @@ def _check_scalar_sign_and_reciprocal(n: int, rng: random.Random, rec: _Recorder
 def _check_pair_ring_laws(n: int, rng: random.Random, rec: _Recorder) -> None:
     for _ in range(n):
         x, y, z = (_rand_pair(rng) for _ in range(3))
-        rec.expect(x + y == y + x, lambda: f"add commutativity: {x}, {y}")
-        rec.expect((x + y) + z == x + (y + z), lambda: f"add associativity: {x}, {y}, {z}")
-        rec.expect(x * y == y * x, lambda: f"mul commutativity: {x}, {y}")
-        rec.expect((x * y) * z == x * (y * z), lambda: f"mul associativity: {x}, {y}, {z}")
-        rec.expect(x * (y + z) == x * y + x * z, lambda: f"distributivity: {x}, {y}, {z}")
+        _expect_ring_laws(rec, x, y, z)
         reduced = x.reduce()
         rec.expect(reduced.reduce().components == reduced.components, lambda: f"reduce idempotence: {x}")
         rec.expect(reduced.is_reduced and x == reduced, lambda: f"reduce equivalence: {x}")
@@ -155,11 +153,7 @@ def _check_pair_roundtrip(n: int, rng: random.Random, rec: _Recorder) -> None:
 def _check_triple_ring_laws(n: int, rng: random.Random, rec: _Recorder) -> None:
     for _ in range(n):
         x, y, z = (_rand_triple(rng) for _ in range(3))
-        rec.expect(x + y == y + x, lambda: f"add commutativity: {x}, {y}")
-        rec.expect((x + y) + z == x + (y + z), lambda: f"add associativity: {x}, {y}, {z}")
-        rec.expect(x * y == y * x, lambda: f"mul commutativity: {x}, {y}")
-        rec.expect((x * y) * z == x * (y * z), lambda: f"mul associativity: {x}, {y}, {z}")
-        rec.expect(x * (y + z) == x * y + x * z, lambda: f"distributivity: {x}, {y}, {z}")
+        _expect_ring_laws(rec, x, y, z)
         rec.expect(x.reduce().reduce().components == x.reduce().components, lambda: f"reduce idempotence: {x}")
         rec.expect(x == x.reduce(), lambda: f"reduce equivalence: {x}")
 
@@ -225,11 +219,7 @@ def _check_triple_complex_roundtrip(n: int, rng: random.Random, rec: _Recorder) 
 def _check_matrix_ring_laws(n: int, rng: random.Random, rec: _Recorder) -> None:
     for _ in range(n):
         x, y, z = (_rand_matrix(rng) for _ in range(3))
-        rec.expect(x + y == y + x, lambda: f"add commutativity: {x}, {y}")
-        rec.expect((x + y) + z == x + (y + z), lambda: f"add associativity: {x}, {y}, {z}")
-        rec.expect(x * y == y * x, lambda: f"mul commutativity: {x}, {y}")
-        rec.expect((x * y) * z == x * (y * z), lambda: f"mul associativity: {x}, {y}, {z}")
-        rec.expect(x * (y + z) == x * y + x * z, lambda: f"distributivity: {x}, {y}, {z}")
+        _expect_ring_laws(rec, x, y, z)
 
 
 def _check_matrix_well_defined(n: int, rng: random.Random, rec: _Recorder) -> None:
@@ -275,7 +265,7 @@ def _check_rotation_zeros(n: int, rng: random.Random, rec: _Recorder) -> None:
                 lambda: f"rotation zero norm: {selector} xi={xi}",
             )
             for _ in range(n):
-                m = _rand_int_matrix(rng)
+                m = _rand_matrix(rng, _rand_digit)
                 rec.expect(
                     (m * zero).norm_sq().sign() == 0,
                     lambda: f"product absorbs to norm zero: {m}, {selector}",

@@ -27,6 +27,17 @@ def test_eval_reports_errors_and_continues(capsys):
     assert captured.out.splitlines() == ["2"]
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int-to-str digit limit"
+)
+def test_eval_reports_unprintable_result(capsys):
+    # 2^100000 has 30,103 digits, over the default int-to-str limit of 4,300
+    assert main(["eval", "2^100000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_tables_pass(capsys):
     assert main(["tables"]) == 0
     out = capsys.readouterr().out

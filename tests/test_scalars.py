@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -103,3 +105,24 @@ def test_sign_square_and_reciprocal(x):
         assert x.sign() == (approx > 0) - (approx < 0)
     if x.sign() != 0:
         assert x * (1 / x) == ExactScalar(1)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_float_of_cancelling_parts(k):
+    # (21/4 - 3*sqrt3)^k is about 0.054^k while its parts grow like 10.5^k;
+    # rounding the parts apart loses every digit by k = 8.
+    value = ExactScalar(Fraction(21, 4), -3) ** k
+    with localcontext() as context:
+        context.prec = 60
+        exact = (Decimal(21) / 4 - 3 * Decimal(3).sqrt()) ** k
+    assert math.isclose(float(value), float(exact), rel_tol=1e-12)
+
+
+def test_float_of_cancelling_parts_stays_finite():
+    largest = Fraction(sys.float_info.max)
+    assert float(ExactScalar(largest, Fraction(-1, 10**300))) == sys.float_info.max
+    # r*sqrt3 just past the float range: the conjugate form overflows, the sum does not
+    assert float(ExactScalar(1, -largest / Fraction(math.sqrt(3)))) == -sys.float_info.max
+    near_largest = (math.sqrt(3) / 6 - 0.5) * sys.float_info.max
+    assert float(ExactScalar(-largest / 2, largest / 6)) == pytest.approx(near_largest, rel=1e-15)
+    assert float(ExactScalar(1, -1)) == pytest.approx(1 - math.sqrt(3), rel=1e-15)
