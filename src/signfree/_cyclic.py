@@ -5,6 +5,11 @@ and multiply by the cyclic convolution ``out[k] = sum_i x[i]*y[(k-i) mod n]``.
 Pairs (n = 2) and triples (n = 3) have scalar parts; a matrix has three
 triple parts, which makes it Q(sqrt 3)[C3 x C3].
 
+A constant vector acts as zero, and equality needs no ordering to see
+that: x ~ y exactly when x[i] - x[0] == y[i] - y[0] for every i, so
+equality and hashing compare the parts less the first part (`_key`).
+`reduce()`, which subtracts the minimum part, gives the printed form.
+
 Nonnegativity is checked where values come from outside: in the public
 constructors and on scale factors.  Sums, products and reductions of
 nonnegative parts stay nonnegative, so results are built unchecked by
@@ -36,9 +41,7 @@ def convolve(x: tuple, y: tuple) -> tuple:
 class CyclicElement:
     """Nonnegative parts of a cyclic group algebra element, as a tuple.
 
-    Equality and hashing compare reduced parts: the minimum part is
-    subtracted from every part, which removes the constant vector that
-    acts as zero.  Subclasses set `_NOUN`, their plural for error texts.
+    Subclasses set `_NOUN`, their plural for error texts.
     """
 
     __slots__ = ("_parts",)
@@ -90,10 +93,15 @@ class CyclicElement:
     def is_reduced(self) -> bool:
         return min(self._parts).sign() == 0
 
+    def _key(self) -> tuple:
+        """The parts less the first part: equal exactly for equivalent elements."""
+        first = self._parts[0]
+        return tuple(x - first for x in self._parts[1:])
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.reduce()._parts == other.reduce()._parts
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__,) + self.reduce()._parts)
+        return hash((type(self).__name__,) + self._key())

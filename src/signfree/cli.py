@@ -35,14 +35,22 @@ from .units import (
 __all__ = ["main", "main_entry", "run_tables", "run_verify", "run_roots"]
 
 
+def _error(message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def _eval_line(text: str) -> int:
     try:
-        # formatting can fail too: str() of a huge int exceeds the
-        # interpreter's int-to-str digit limit with a ValueError
-        shown = expressions.format_value(expressions.eval_text(text))
+        value = expressions.eval_text(text)
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
+    except RecursionError:  # parsing and evaluation recurse once per level of nesting
+        return _error("expression nested too deeply")
+    try:
+        shown = expressions.format_value(value)
+    except ValueError:  # an int past the interpreter's int-to-str digit limit
+        return _error("result too large to print")
     print(shown)
     return 0
 
@@ -161,21 +169,16 @@ def run_verify(samples: int, seed: int, machine: bool = False) -> int:
 
 
 def run_roots(machine: bool = False) -> int:
-    ok = True
-
-    accepted = find_square_roots(NINE, ROOTS_OF_NINE)
-    nine_ok = len(accepted) == len(ROOTS_OF_NINE)
-    ok = ok and nine_ok
+    squares = [candidate * candidate for candidate in ROOTS_OF_NINE]
+    confirmed = [square == NINE for square in squares]
+    ok = all(confirmed)
     if machine:
-        for index, candidate in enumerate(ROOTS_OF_NINE):
-            good = candidate in accepted
+        for index, good in enumerate(confirmed):
             print(f"roots-of-nine\t#{index}\t{'pass' if good else 'fail'}")
     else:
-        print(f"square roots of 9: {len(accepted)}/{len(ROOTS_OF_NINE)} confirmed")
-        for candidate in ROOTS_OF_NINE:
-            square = (candidate * candidate).reduce()
-            mark = "ok" if candidate in accepted else "FAIL"
-            print(f"  {candidate} ^2 -> {square}  {mark}")
+        print(f"square roots of 9: {sum(confirmed)}/{len(ROOTS_OF_NINE)} confirmed")
+        for candidate, square, good in zip(ROOTS_OF_NINE, squares, confirmed):
+            print(f"  {candidate} ^2 -> {square.reduce()}  {'ok' if good else 'FAIL'}")
 
     all_units = [unit_value(u) for u in UnitName]
     for family, target_name, tag in (

@@ -349,14 +349,6 @@ def kind_of(expr: Expression) -> Kind:
     raise ExpressionError("unsupported expression", expr.pos)
 
 
-def _embed_like(scalar: ExactScalar, template: object) -> object:
-    if isinstance(template, UnsignedPair):
-        return UnsignedPair.from_signed(scalar)
-    if isinstance(template, CyclicTriple):
-        return CyclicTriple.from_signed(scalar)
-    return CyclicMatrix.from_signed(scalar)
-
-
 _CALL_IMPLS = {
     "reduce": lambda value: value.reduce(),
     "norm": lambda value: value.norm(),
@@ -392,9 +384,9 @@ def evaluate(expr: Expression) -> object:
         right = evaluate(expr.right)
         if expr.op == "+":
             if isinstance(left, ExactScalar) and not isinstance(right, ExactScalar):
-                left = _embed_like(left, right)
+                left = type(right).from_signed(left)
             elif isinstance(right, ExactScalar) and not isinstance(left, ExactScalar):
-                right = _embed_like(right, left)
+                right = type(left).from_signed(right)
             return left + right
         if expr.op == "-":
             return left - right

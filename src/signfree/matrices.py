@@ -11,7 +11,7 @@ Q(sqrt 3)[C3 x C3].
 Two families of additive zeros exist:
 
 * absolute zeros -- every column constant; adding one never changes an
-  element's class, so equality quotients by them (column-wise reduce);
+  element's class, so equality quotients by them (column by column);
 * rotation zeros -- one positive entry per row (27 patterns); they have
   norm zero and absorb products to norm zero, but are *not* equivalent
   to the zero class in general.
@@ -176,14 +176,15 @@ class CyclicMatrix(CyclicElement):
             pa + _OMEGA2 * pb + _OMEGA * pc,
         )
 
+    def _key(self) -> tuple:
+        """The column keys: each column is taken modulo its own constants."""
+        return tuple(col._key() for col in self._parts)
+
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CyclicMatrix):
-            return NotImplemented
-        # column by column, stopping at the first unequal one
-        return all(mine == theirs for mine, theirs in zip(self._parts, other._parts))
+        return super().__eq__(other)  # an own entry, see signfree._cyclic
 
     def __hash__(self) -> int:
-        return hash(("CyclicMatrix",) + tuple(col.reduce().components for col in self._parts))
+        return super().__hash__()  # an own entry, see signfree._cyclic
 
     def __str__(self) -> str:
         rows = self.rows()

@@ -3,8 +3,8 @@
 An :class:`UnsignedPair` ``p{plus,minus}`` encodes the real number
 ``plus - minus``.  Addition and multiplication are subtraction-free, so
 components never go negative; any common excess in the two components
-is redundant history that :meth:`UnsignedPair.reduce` strips.  Equality
-compares reduced forms.  The arithmetic is the shared cyclic core
+is redundant history that :meth:`UnsignedPair.reduce` strips and that
+equality ignores.  The arithmetic is the shared cyclic core
 (:mod:`signfree._cyclic`) with two parts: Q(sqrt 3)[C2].
 """
 

@@ -3,11 +3,10 @@
 A :class:`CyclicTriple` ``t{a,b,c}`` has nonnegative components and the
 cyclic product rule (second basis element squared gives the third, and
 so on around).  Adding a constant vector ``(k, k, k)`` never changes the
-encoded value, so equality compares reduced forms.  Under that quotient
-the system is the complex plane: ``(a, b, c)`` stands for
-``a + b*w + c*w**2`` with ``w = exp(2*pi*i/3)``.  The arithmetic is
-the shared cyclic core (:mod:`signfree._cyclic`) with three parts:
-Q(sqrt 3)[C3].
+encoded value, so equality ignores it.  Under that quotient the system
+is the complex plane: ``(a, b, c)`` stands for ``a + b*w + c*w**2`` with
+``w = exp(2*pi*i/3)``.  The arithmetic is the shared cyclic core
+(:mod:`signfree._cyclic`) with three parts: Q(sqrt 3)[C3].
 """
 
 from __future__ import annotations

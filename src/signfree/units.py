@@ -7,7 +7,7 @@ the whole package computes over Q(sqrt 3).
 
 The three 8x8 tables (plus-one family, imaginary family, and the mixed
 products) are stored as data; :func:`verify_unit_table` recomputes every
-cell with exact matrix multiplication and compares reduced forms.
+cell with exact matrix multiplication and compares classes exactly.
 """
 
 from __future__ import annotations
@@ -135,10 +135,7 @@ def match_unit(
 ) -> "UnitName | None":
     """The unit a matrix is equivalent to, if any."""
     table = UNIT_VALUES if units is None else units
-    for name, value in table.items():
-        if value == matrix:
-            return name
-    return None
+    return next((name for name, value in table.items() if value == matrix), None)
 
 
 @dataclass(frozen=True)
@@ -247,7 +244,7 @@ class TableReport:
 def verify_unit_table(
     which: str, units: "Mapping[UnitName, CyclicMatrix] | None" = None
 ) -> TableReport:
-    """Recompute every cell of a table and compare reduced forms exactly.
+    """Recompute every cell of a table and compare classes exactly.
 
     `units` lets callers substitute a different (for example corrupted)
     set of constants; failures land in the report, never in exceptions.

@@ -36,6 +36,21 @@ def test_eval_reports_unprintable_result(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "sys." not in captured.err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 2000 + "1" + ")" * 2000, "-" * 3000 + "1", "1+" * 3000 + "1"],
+    ids=["nested-parentheses", "repeated-minus", "long-sum"],
+)
+def test_eval_reports_deep_input(monkeypatch, capsys, text):
+    # read from stdin: as an argument, a leading '-' is taken for an option
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text + "\n"))
+    assert main(["eval"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expression nested too deeply\n"
 
 
 def test_tables_pass(capsys):

@@ -124,6 +124,23 @@ def rand_parts(rng, name):
     return tuple(tuple(rand_entry(rng) for _ in range(3)) for _ in range(3))
 
 
+def constant_like(rng, x):
+    """A random constant vector shaped like `x`; a constant per column for matrices."""
+    if isinstance(x[0], tuple):
+        return tuple(constant_like(rng, col) for col in x)
+    return (rand_entry(rng),) * len(x)
+
+
+def bump_like(rng, x):
+    """Zeros shaped like `x` but for one positive entry: never a constant vector."""
+    if isinstance(x[0], tuple):
+        which = rng.randrange(len(x))
+        return tuple(bump_like(rng, col) if i == which else (_ZERO,) * 3 for i, col in enumerate(x))
+    parts = [_ZERO] * len(x)
+    parts[rng.randrange(len(x))] = ExactScalar(rng.randint(1, 4), rng.randint(0, 1))
+    return tuple(parts)
+
+
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_core_matches_hand_expanded_formulas(name):
     build, mul, add, reduce, scale, one, show = SYSTEMS[name]
@@ -138,6 +155,17 @@ def test_core_matches_hand_expanded_formulas(name):
         assert str(bx.reduce()) == show(reduce(x)), where
         assert str(factor * bx) == show(scale(factor, x)), where
         assert str(bx * factor) == show(scale(factor, x)), where
+        # equality against the reduce-and-compare it replaced: a random y,
+        # y = x plus a constant vector (a constant per column for matrices),
+        # and that y with one part raised, which leaves the class
+        shifted = add(x, constant_like(rng, x))
+        raised = add(shifted, bump_like(rng, x))
+        for other in (y, shifted, raised):
+            bother = build(other)
+            assert (bx == bother) == (reduce(x) == reduce(other)), where
+            if bx == bother:
+                assert hash(bx) == hash(bother), where
+        assert bx == build(shifted) and bx != build(raised), where
         if name == "matrix" and seed % 4:
             continue  # matrix powers cost ~0.15 s a seed; every fourth seed runs them
         for n in EXPONENTS:
