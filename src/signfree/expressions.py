@@ -163,6 +163,14 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _literal(token: _Token, convert: type[int] | type[Fraction]) -> int | Fraction:
+    """A number token's value; the token matched the ``num`` pattern already."""
+    try:
+        return convert(token.text)
+    except ValueError:  # more digits than the interpreter's int-to-str limit
+        raise ExpressionError("number literal too long", token.pos) from None
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
@@ -223,7 +231,7 @@ class _Parser:
                 raise ExpressionError(
                     "exponent must be a nonnegative integer", exp_token.pos
                 )
-            base = Power(base.pos, base, int(exp_token.text))
+            base = Power(base.pos, base, _literal(exp_token, int))
         return base
 
     def _primary(self) -> Expression:
@@ -249,10 +257,11 @@ class _Parser:
                 raise ExpressionError("expected an integer denominator", denom.pos)
             if "." in denom.text:
                 raise ExpressionError("fraction parts must be integers", denom.pos)
-            if int(denom.text) == 0:
+            denom_value = _literal(denom, int)
+            if denom_value == 0:
                 raise ExpressionError("zero denominator", denom.pos)
-            return ScalarConst(token.pos, ExactScalar(Fraction(int(token.text), int(denom.text))))
-        return ScalarConst(token.pos, ExactScalar(Fraction(token.text)))
+            return ScalarConst(token.pos, ExactScalar(Fraction(_literal(token, int), denom_value)))
+        return ScalarConst(token.pos, ExactScalar(_literal(token, Fraction)))
 
     def _name(self, token: _Token) -> Expression:
         lower = token.text.lower()

@@ -5,6 +5,15 @@ rational ``q`` and ``r``.  That is enough to hold all the constants the
 vector and matrix systems need (1/3, sqrt(3)/3, ...) without rounding,
 so identities can be checked by exact equality instead of tolerances.
 Floating point appears only at the output boundary (`float()`).
+
+An `ExactScalar` is stored as three Python ints ``(p, q, d)`` standing
+for ``(p + q*sqrt(3)) / d``, with ``d > 0`` and ``gcd(p, q, d) == 1``.
+That form is unique, so equality compares three ints, and each sum,
+product or quotient is integer multiplies and adds plus one gcd.
+`Fraction`s are built only at the boundaries: the constructor accepts
+them (and ints and numeric strings), the `rat`/`root` properties,
+`str`/`repr` and the hash of a value with a sqrt(3) part return or use
+them.
 """
 
 from __future__ import annotations
@@ -19,10 +28,6 @@ __all__ = ["ExactScalar", "SQRT3", "as_scalar", "power", "require_nonneg"]
 _SQRT3_FLOAT = math.sqrt(3.0)
 
 _T = TypeVar("_T")
-
-
-def _fraction_sign(value: Fraction) -> int:
-    return (value > 0) - (value < 0)
 
 
 def as_scalar(value: "ExactScalar | Fraction | int | str") -> "ExactScalar":
@@ -59,87 +64,105 @@ def power(base: _T, exponent: int, one: Callable[[], _T]) -> _T:
         base = base * base
 
 
+def _int_sign(p: int, q: int) -> int:
+    """Exact sign of ``p + q*sqrt(3)`` for integers ``p`` and ``q``."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    sq = 1 if q > 0 else -1
+    if p == 0 or (p > 0) == (q > 0):
+        return sq
+    # The parts pull in opposite directions: compare p^2 with 3 q^2.
+    # Equality is impossible for nonzero integers (sqrt 3 is irrational).
+    return -sq if p * p > 3 * q * q else sq
+
+
+def _scaled_float(n: int, d: int, k: int) -> float:
+    """``n * 2**k / d`` correctly rounded, as `float(Fraction)` would give it."""
+    return (n << k) / d if k >= 0 else n / (d << -k)
+
+
 @total_ordering
 class ExactScalar:
     """A value ``rat + root*sqrt(3)`` with exact rational components."""
 
-    __slots__ = ("_rat", "_root")
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, rat: Fraction | int | str = 0, root: Fraction | int | str = 0) -> None:
-        self._rat = rat if isinstance(rat, Fraction) else Fraction(rat)
-        self._root = root if isinstance(root, Fraction) else Fraction(root)
+        r = rat if isinstance(rat, (int, Fraction)) else Fraction(rat)
+        s = root if isinstance(root, (int, Fraction)) else Fraction(root)
+        rd, sd = r.denominator, s.denominator
+        # Both parts are in lowest terms, so over their lcm gcd(p, q, d) == 1.
+        d = rd if rd == sd else math.lcm(rd, sd)
+        self._p = r.numerator * (d // rd)
+        self._q = s.numerator * (d // sd)
+        self._d = d
 
     @property
     def rat(self) -> Fraction:
-        return self._rat
+        return Fraction(self._p, self._d)
 
     @property
     def root(self) -> Fraction:
-        return self._root
+        return Fraction(self._q, self._d)
 
     @staticmethod
-    def _coerce(value: object) -> "ExactScalar | None":
+    def _parts(value: object) -> "tuple[int, int, int] | None":
+        """``(p, q, d)`` of a scalar, int or Fraction; None for anything else."""
         if isinstance(value, ExactScalar):
-            return value
+            return value._p, value._q, value._d
         if isinstance(value, (int, Fraction)):
-            return ExactScalar(value)
+            return value.numerator, 0, value.denominator
         return None
 
     def __add__(self, other: object) -> "ExactScalar":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return ExactScalar(self._rat + o._rat, self._root + o._root)
+        return _sum(self._p, self._q, self._d, *o)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "ExactScalar":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return ExactScalar(self._rat - o._rat, self._root - o._root)
+        p, q, d = o
+        return _sum(self._p, self._q, self._d, -p, -q, d)
 
     def __rsub__(self, other: object) -> "ExactScalar":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _sum(*o, -self._p, -self._q, self._d)
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self._rat, -self._root)
+        return _normalised(-self._p, -self._q, self._d)
 
     def __pos__(self) -> "ExactScalar":
         return self
 
     def __mul__(self, other: object) -> "ExactScalar":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        # (q1 + r1 s)(q2 + r2 s) with s^2 = 3
-        return ExactScalar(
-            self._rat * o._rat + 3 * self._root * o._root,
-            self._rat * o._root + self._root * o._rat,
-        )
+        p1, q1, d1 = self._p, self._q, self._d
+        p2, q2, d2 = o
+        # (p1 + q1 s)(p2 + q2 s) with s^2 = 3
+        return _normalised(p1 * p2 + 3 * q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "ExactScalar":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        # Rationalize with the conjugate q - r*sqrt(3).  The denominator
-        # q^2 - 3 r^2 vanishes only for q = r = 0 (sqrt 3 is irrational).
-        denom = o._rat * o._rat - 3 * o._root * o._root
-        if denom == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        num = self * ExactScalar(o._rat, -o._root)
-        return ExactScalar(num._rat / denom, num._root / denom)
+        return _quotient(self._p, self._q, self._d, *o)
 
     def __rtruediv__(self, other: object) -> "ExactScalar":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _quotient(*o, self._p, self._q, self._d)
 
     def __pow__(self, exponent: int) -> "ExactScalar":
         if not isinstance(exponent, int):
@@ -150,64 +173,88 @@ class ExactScalar:
 
     def sign(self) -> int:
         """Exact sign of the value, decided without floating point."""
-        sq = _fraction_sign(self._rat)
-        sr = _fraction_sign(self._root)
-        if sr == 0:
-            return sq
-        if sq == 0 or sq == sr:
-            return sr
-        # Components pull in opposite directions: compare q^2 with 3 r^2.
-        # Equality is impossible for nonzero rationals.
-        return sq if self._rat * self._rat > 3 * self._root * self._root else sr
+        return _int_sign(self._p, self._q)
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self._rat == o._rat and self._root == o._root
+        return o == (self._p, self._q, self._d)
 
     def __lt__(self, other: object) -> bool:
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        p, q, d = o
+        # the sign of self - other, over the positive denominator d * self._d
+        return _int_sign(self._p * d - p * self._d, self._q * d - q * self._d) < 0
 
     def __hash__(self) -> int:
-        if self._root == 0:
+        if self._q == 0:
             # matches hash(int)/hash(Fraction) so x == n implies equal hashes
-            return hash(self._rat)
-        return hash((self._rat, self._root))
+            return hash(self._p) if self._d == 1 else hash(Fraction(self._p, self._d))
+        return hash((self.rat, self.root))
 
     def __bool__(self) -> bool:
-        return bool(self._rat) or bool(self._root)
+        return self._p != 0 or self._q != 0
 
     def __float__(self) -> float:
-        q, r = self._rat, self._root
-        if (q < 0 < r) or (r < 0 < q):
-            # Rounded apart, q and r*sqrt3 of opposite signs cancel.  The
-            # conjugate form (q^2 - 3r^2) / (q - r*sqrt3) adds like signs
-            # only.  Scaling both parts by 2**-e keeps the squares in range.
-            e = max(math.frexp(float(q))[1], math.frexp(float(r))[1])
-            unit = Fraction(2) ** -e
-            q2, r2 = q * unit, r * unit
-            scaled = float(q2 * q2 - 3 * r2 * r2) / (float(q2) - float(r2) * _SQRT3_FLOAT)
+        p, q, d = self._p, self._q, self._d
+        if (p < 0 < q) or (q < 0 < p):
+            # Rounded apart, p and q*sqrt3 of opposite signs cancel.  The
+            # conjugate form (p^2 - 3q^2) / (p - q*sqrt3) / d adds like
+            # signs only.  Scaling by 2**-e keeps the squares in range.
+            e = max(math.frexp(p / d)[1], math.frexp(q / d)[1])
+            scaled = _scaled_float(p * p - 3 * q * q, d * d, -2 * e) / (
+                _scaled_float(p, d, -e) - _scaled_float(q, d, -e) * _SQRT3_FLOAT
+            )
             try:
                 return math.ldexp(scaled, e)
             except OverflowError:  # near the largest float, where the plain sum is finite
                 pass
-        return float(q) + float(r) * _SQRT3_FLOAT
+        return p / d + q / d * _SQRT3_FLOAT
 
     def __str__(self) -> str:
-        if self._root == 0:
-            return str(self._rat)
-        root_part = f"{self._root}*sqrt3" if self._root > 0 else f"{-self._root}*sqrt3"
-        if self._rat == 0:
-            return root_part if self._root > 0 else f"-{root_part}"
-        joiner = "+" if self._root > 0 else "-"
-        return f"{self._rat}{joiner}{root_part}"
+        rat, root = self.rat, self.root
+        if root == 0:
+            return str(rat)
+        root_part = f"{root}*sqrt3" if root > 0 else f"{-root}*sqrt3"
+        if rat == 0:
+            return root_part if root > 0 else f"-{root_part}"
+        joiner = "+" if root > 0 else "-"
+        return f"{rat}{joiner}{root_part}"
 
     def __repr__(self) -> str:
-        return f"ExactScalar({self._rat}, {self._root})"
+        return f"ExactScalar({self.rat}, {self.root})"
+
+
+def _normalised(p: int, q: int, d: int) -> ExactScalar:
+    """The scalar ``(p + q*sqrt(3)) / d`` for ``d > 0``, divided through by the gcd."""
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    scalar = object.__new__(ExactScalar)
+    scalar._p, scalar._q, scalar._d = p, q, d
+    return scalar
+
+
+def _sum(p1: int, q1: int, d1: int, p2: int, q2: int, d2: int) -> ExactScalar:
+    """``(p1 + q1*sqrt(3)) / d1 + (p2 + q2*sqrt(3)) / d2``."""
+    if d1 == d2:
+        return _normalised(p1 + p2, q1 + q2, d1)
+    return _normalised(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
+
+
+def _quotient(p1: int, q1: int, d1: int, p2: int, q2: int, d2: int) -> ExactScalar:
+    """``(p1 + q1*sqrt(3)) / d1`` divided by ``(p2 + q2*sqrt(3)) / d2``."""
+    # Rationalize with the conjugate p2 - q2*sqrt(3).  The norm
+    # p2^2 - 3 q2^2 vanishes only for p2 = q2 = 0 (sqrt 3 is irrational).
+    norm = p2 * p2 - 3 * q2 * q2
+    if norm == 0:
+        raise ZeroDivisionError("division by zero scalar")
+    if norm < 0:
+        norm, d2 = -norm, -d2
+    return _normalised((p1 * p2 - 3 * q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2, d1 * norm)
 
 
 SQRT3 = ExactScalar(0, 1)

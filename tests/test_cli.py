@@ -39,6 +39,27 @@ def test_eval_reports_unprintable_result(capsys):
     assert "sys." not in captured.err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int-to-str digit limit"
+)
+@pytest.mark.parametrize(
+    "text, pos", [("1" + "0" * 5000, 0), ("2^" + "1" * 5000, 2)], ids=["value", "exponent"]
+)
+def test_eval_reports_overlong_literal(monkeypatch, capsys, text, pos):
+    # 5,000 digits, over the default int-to-str limit of 4,300
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text + "\n"))
+    assert main(["eval"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: number literal too long (at position {pos})\n"
+
+
+def test_eval_after_double_dash(capsys):
+    # without `--`, an argument starting with '-' is taken for an option
+    assert main(["eval", "--", "-----1", "--2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["-1", "2"]
+
+
 @pytest.mark.parametrize(
     "text",
     ["(" * 2000 + "1" + ")" * 2000, "-" * 3000 + "1", "1+" * 3000 + "1"],
