@@ -1,14 +1,26 @@
-"""Shared core of pairs, triples and matrices: Q(sqrt 3)[C_n] modulo constants.
+"""Shared core of pairs, triples and matrices: Q(sqrt 3)[G] modulo constants.
 
-An element is a tuple of n nonnegative parts.  Parts add componentwise
-and multiply by the cyclic convolution ``out[k] = sum_i x[i]*y[(k-i) mod n]``.
-Pairs (n = 2) and triples (n = 3) have scalar parts; a matrix has three
-triple parts, which makes it Q(sqrt 3)[C3 x C3].
+G is a finite abelian group: C2 for pairs, C3 for triples and C3 x C3
+for matrices, whose part ``3*s + r`` is row r of column s.  Parts add
+componentwise and multiply by the convolution over G,
+``out[k] = sum of x[i]*y[j] over i + j == k``, read from a small index
+table built once per shape (`convolution_table`).
 
-A constant vector acts as zero, and equality needs no ordering to see
-that: x ~ y exactly when x[i] - x[0] == y[i] - y[0] for every i, so
-equality and hashing compare the parts less the first part (`_key`).
-`reduce()`, which subtracts the minimum part, gives the printed form.
+An element holds its n parts as one flat tuple of ints
+``(p0, q0, p1, q1, ...)`` over one shared denominator ``d > 0``: part i
+is ``(p_i + q_i*sqrt(3)) / d``.  The ints and ``d`` have no common
+factor, so each operation is int multiplies and adds plus one gcd over
+the whole tuple, with no `ExactScalar` in between.  Scalars and triples
+are built only at the boundary: constructors, accessors, printing and
+the float views.
+
+The parts fall into runs of consecutive parts (the whole element for
+pairs and triples, one column for matrices), and a run that is a
+constant vector acts as zero.  Equality needs no ordering to see that:
+x ~ y exactly when, in every run, x[i] - x[first] == y[i] - y[first],
+so equality and hashing compare those differences over ``d`` in lowest
+terms (`_key`).  `reduce()`, which subtracts each run's minimum part,
+gives the printed form.
 
 Nonnegativity is checked where values come from outside: in the public
 constructors and on scale factors.  Sums, products and reductions of
@@ -20,37 +32,90 @@ per-class instrumentation (``bench/tracing.py``) can wrap each apart.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import product
 
-from .scalars import ExactScalar, power, require_nonneg
+from .scalars import ExactScalar, _int_sign, _normalised, power, require_nonneg
 
 SCALAR_TYPES = (ExactScalar, int, Fraction, str)
 
 
-def convolve(x: tuple, y: tuple) -> tuple:
-    """Cyclic convolution ``out[k] = sum_i x[i] * y[(k - i) mod n]``."""
+def convolution_table(*orders: int) -> tuple:
+    """For each part k of C_orders[0] x C_orders[1] x ..., the offsets
+    ``(2*i, 2*j)`` into two flat int tuples of the parts with i + j == k.
+
+    Parts are numbered in mixed radix, the last order fastest.
+    """
+    elements = list(product(*(range(n) for n in orders)))
+    index = {element: k for k, element in enumerate(elements)}
+    table = [[] for _ in elements]
+    for i, x in enumerate(elements):
+        for j, y in enumerate(elements):
+            k = index[tuple((a + b) % n for a, b, n in zip(x, y, orders))]
+            table[k].append((2 * i, 2 * j))
+    return tuple(map(tuple, table))
+
+
+def convolve(x: tuple, y: tuple, table: tuple) -> list:
+    """The flat ints of the product of the flat parts x and y (s^2 = 3)."""
     out = []
-    for k in range(len(x)):
-        acc = x[0] * y[k]
-        for i in range(1, len(x)):
-            acc = acc + x[i] * y[k - i]  # a negative index wraps mod n
-        out.append(acc)
-    return tuple(out)
+    for pairs in table:
+        p = r = q = 0
+        for i, j in pairs:
+            xp, xq, yp, yq = x[i], x[i + 1], y[j], y[j + 1]
+            p += xp * yp
+            r += xq * yq
+            q += xp * yq + xq * yp
+        out += (p + 3 * r, q)
+    return out
+
+
+def join(payloads: "list[tuple[tuple, int]]") -> "tuple[tuple, int]":
+    """``(ints, d)`` payloads in lowest terms, joined over the lcm of the ``d``.
+
+    The result is in lowest terms too: a prime power that divides the lcm
+    exactly divides some payload's ``d``, and that payload's ints are not
+    all divisible by the prime.
+    """
+    den = math.lcm(*[d for _, d in payloads])
+    return tuple([n * (den // d) for num, d in payloads for n in num]), den
+
+
+def join_scalars(*scalars: ExactScalar) -> "tuple[tuple, int]":
+    return join([((s._p, s._q), s._d) for s in scalars])
 
 
 class CyclicElement:
-    """Nonnegative parts of a cyclic group algebra element, as a tuple.
+    """Nonnegative parts of a group algebra element, as ints over one denominator.
 
-    Subclasses set `_NOUN`, their plural for error texts.
+    Subclasses set `_NOUN`, their plural for error texts, and `_ORDERS`,
+    the cyclic factors of their group; the last factor's order is the
+    length of a run.
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ("_num", "_den")
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._TABLE = convolution_table(*cls._ORDERS)
+        cls._RUN = run = 2 * cls._ORDERS[-1]  # flat ints per run
+        # (i, j): flat int i and the same int (p or q) of its run's first part
+        cls._KEY_PAIRS = tuple(
+            (start + i, start + i % 2)
+            for start in range(0, 2 * math.prod(cls._ORDERS), run)
+            for i in range(2, run)
+        )
 
     @classmethod
-    def _make(cls, parts: tuple) -> "CyclicElement":
-        """An element from parts known to be nonnegative, unchecked."""
+    def _make(cls, num: "tuple | list", den: int) -> "CyclicElement":
+        """An element from nonnegative parts ``num`` over ``den``, in lowest terms."""
+        g = math.gcd(*num, den)
         element = object.__new__(cls)
-        element._parts = parts
+        if g == 1:
+            element._num, element._den = tuple(num), den
+        else:
+            element._num, element._den = tuple([n // g for n in num]), den // g
         return element
 
     @classmethod
@@ -61,21 +126,32 @@ class CyclicElement:
     def one(cls) -> "CyclicElement":
         return cls(1)
 
+    def _part(self, i: int) -> ExactScalar:
+        return _normalised(self._num[2 * i], self._num[2 * i + 1], self._den)
+
     @property
     def components(self) -> tuple:
-        return self._parts
+        return tuple(self._part(i) for i in range(len(self._num) // 2))
 
     def __add__(self, other: object) -> "CyclicElement":
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._make(tuple(x + y for x, y in zip(self._parts, other._parts)))
+        dx, dy = self._den, other._den
+        if dx == dy:
+            return self._make([x + y for x, y in zip(self._num, other._num)], dx)
+        return self._make([x * dy + y * dx for x, y in zip(self._num, other._num)], dx * dy)
 
     def _times(self, other: object) -> "CyclicElement":
         if isinstance(other, type(self)):
-            return self._make(convolve(self._parts, other._parts))
+            return self._make(convolve(self._num, other._num, self._TABLE), self._den * other._den)
         if isinstance(other, SCALAR_TYPES):
             factor = require_nonneg(other, "scale factor")
-            return self._make(tuple(factor * x for x in self._parts))
+            p, q, num = factor._p, factor._q, self._num
+            out = []
+            for i in range(0, len(num), 2):
+                x, y = num[i], num[i + 1]
+                out += (x * p + 3 * y * q, x * q + y * p)
+            return self._make(out, self._den * factor._d)
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "CyclicElement":
@@ -86,17 +162,37 @@ class CyclicElement:
         return power(self, exponent, self.one)
 
     def _reduce(self) -> "CyclicElement":
-        low = min(self._parts)
-        return self._make(tuple(x - low for x in self._parts))
+        """Each run less its minimum part, found by exact signs over the common ``d``."""
+        num, run = self._num, self._RUN
+        out = []
+        for start in range(0, len(num), run):
+            lp, lq = num[start], num[start + 1]
+            for i in range(start + 2, start + run, 2):
+                if _int_sign(num[i] - lp, num[i + 1] - lq) < 0:
+                    lp, lq = num[i], num[i + 1]
+            for i in range(start, start + run, 2):
+                out += (num[i] - lp, num[i + 1] - lq)
+        return self._make(out, self._den)
 
     @property
     def is_reduced(self) -> bool:
-        return min(self._parts).sign() == 0
+        """Whether every run's minimum is zero: parts are nonnegative, so
+        whether every run has a zero part."""
+        num, run = self._num, self._RUN
+        return all(
+            any(num[i] == num[i + 1] == 0 for i in range(start, start + run, 2))
+            for start in range(0, len(num), run)
+        )
 
     def _key(self) -> tuple:
-        """The parts less the first part: equal exactly for equivalent elements."""
-        first = self._parts[0]
-        return tuple(x - first for x in self._parts[1:])
+        """Each run's parts less its first part, over ``d`` in lowest terms:
+        equal exactly for equivalent elements."""
+        num = self._num
+        diffs = [num[i] - num[j] for i, j in self._KEY_PAIRS]
+        g = math.gcd(*diffs, self._den)
+        if g != 1:
+            diffs = [n // g for n in diffs]
+        return tuple(diffs), self._den // g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -104,4 +200,4 @@ class CyclicElement:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__,) + self._key())
+        return hash((type(self).__name__, self._key()))

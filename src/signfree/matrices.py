@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import product as _iter_product
 from typing import Iterable
 
-from ._cyclic import CyclicElement
+from ._cyclic import CyclicElement, join
 from .scalars import ExactScalar, as_scalar, require_nonneg
 from .triples import CyclicTriple
 
@@ -90,9 +90,11 @@ class CyclicMatrix(CyclicElement):
 
     __slots__ = ()
     _NOUN = "matrices"
+    _ORDERS = (3, 3)
 
     def __init__(self, col_a: object, col_b: object, col_c: object) -> None:
-        self._parts = (_as_column(col_a, "A"), _as_column(col_b, "B"), _as_column(col_c, "C"))
+        columns = (_as_column(col_a, "A"), _as_column(col_b, "B"), _as_column(col_c, "C"))
+        self._num, self._den = join([(col._num, col._den) for col in columns])
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[object]]) -> "CyclicMatrix":
@@ -121,24 +123,28 @@ class CyclicMatrix(CyclicElement):
 
     @property
     def col_a(self) -> CyclicTriple:
-        return self._parts[0]
+        return self._column(0)
 
     @property
     def col_b(self) -> CyclicTriple:
-        return self._parts[1]
+        return self._column(1)
 
     @property
     def col_c(self) -> CyclicTriple:
-        return self._parts[2]
+        return self._column(2)
+
+    def _column(self, s: int) -> CyclicTriple:
+        return CyclicTriple._make(self._num[6 * s : 6 * s + 6], self._den)
 
     @property
     def columns(self) -> tuple[CyclicTriple, CyclicTriple, CyclicTriple]:
-        return self._parts
+        return (self._column(0), self._column(1), self._column(2))
+
+    components = columns
 
     def rows(self) -> tuple[tuple[ExactScalar, ExactScalar, ExactScalar], ...]:
         """Entries in the printed layout (rows top to bottom)."""
-        cols = [col.components for col in self._parts]
-        return tuple(tuple(cols[s][r] for s in range(3)) for r in range(3))
+        return tuple(tuple(self._part(3 * s + r) for s in range(3)) for r in range(3))
 
     def __mul__(self, other: object) -> "CyclicMatrix":
         return self._times(other)
@@ -150,16 +156,12 @@ class CyclicMatrix(CyclicElement):
 
     def reduce(self) -> "CyclicMatrix":
         """Reduce each column independently by its own minimum; idempotent."""
-        return self._make(tuple(col.reduce() for col in self._parts))
-
-    @property
-    def is_reduced(self) -> bool:
-        return all(col.is_reduced for col in self._parts)
+        return self._reduce()
 
     def row_sums(self) -> CyclicTriple:
         """The triple of row sums; an exact homomorphism onto triples."""
-        col_a, col_b, col_c = self._parts
-        return col_a + col_b + col_c
+        num = self._num
+        return CyclicTriple._make([num[k] + num[k + 6] + num[k + 12] for k in range(6)], self._den)
 
     def norm_sq(self) -> ExactScalar:
         return self.row_sums().norm_sq()
@@ -169,16 +171,12 @@ class CyclicMatrix(CyclicElement):
 
     def characters(self) -> tuple[complex, complex, complex]:
         """Three complex fingerprints, constant on equivalence classes."""
-        pa, pb, pc = (col.to_complex() for col in self._parts)
+        pa, pb, pc = (col.to_complex() for col in self.columns)
         return (
             pa + pb + pc,
             pa + _OMEGA * pb + _OMEGA2 * pc,
             pa + _OMEGA2 * pb + _OMEGA * pc,
         )
-
-    def _key(self) -> tuple:
-        """The column keys: each column is taken modulo its own constants."""
-        return tuple(col._key() for col in self._parts)
 
     def __eq__(self, other: object) -> bool:
         return super().__eq__(other)  # an own entry, see signfree._cyclic
@@ -192,7 +190,7 @@ class CyclicMatrix(CyclicElement):
         return f"m{{{body}}}"
 
     def __repr__(self) -> str:
-        return "CyclicMatrix({!r}, {!r}, {!r})".format(*self._parts)
+        return "CyclicMatrix({!r}, {!r}, {!r})".format(*self.columns)
 
 
 def absolute_zero(xi: object, zeta: object, eta: object) -> CyclicMatrix:

@@ -10,8 +10,8 @@ equality ignores.  The arithmetic is the shared cyclic core
 
 from __future__ import annotations
 
-from ._cyclic import CyclicElement
-from .scalars import ExactScalar, as_scalar, require_nonneg
+from ._cyclic import CyclicElement, join_scalars
+from .scalars import ExactScalar, _normalised, as_scalar, require_nonneg
 
 __all__ = ["UnsignedPair"]
 
@@ -21,9 +21,10 @@ class UnsignedPair(CyclicElement):
 
     __slots__ = ()
     _NOUN = "pairs"
+    _ORDERS = (2,)
 
     def __init__(self, plus: object = 0, minus: object = 0) -> None:
-        self._parts = (
+        self._num, self._den = join_scalars(
             require_nonneg(plus, "plus component"),
             require_nonneg(minus, "minus component"),
         )
@@ -37,15 +38,16 @@ class UnsignedPair(CyclicElement):
         return cls(scalar, 0)
 
     def to_signed(self) -> ExactScalar:
-        return self.plus - self.minus
+        p, q, r, s = self._num
+        return _normalised(p - r, q - s, self._den)
 
     @property
     def plus(self) -> ExactScalar:
-        return self._parts[0]
+        return self._part(0)
 
     @property
     def minus(self) -> ExactScalar:
-        return self._parts[1]
+        return self._part(1)
 
     def reduce(self) -> "UnsignedPair":
         """Subtract the smaller component from both; idempotent."""
@@ -57,7 +59,7 @@ class UnsignedPair(CyclicElement):
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        return "p{{{},{}}}".format(*self._parts)
+        return "p{{{},{}}}".format(*self.components)
 
     def __repr__(self) -> str:
-        return "UnsignedPair({}, {})".format(*self._parts)
+        return "UnsignedPair({}, {})".format(*self.components)

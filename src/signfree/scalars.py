@@ -35,7 +35,7 @@ def as_scalar(value: "ExactScalar | Fraction | int | str") -> "ExactScalar":
     if isinstance(value, ExactScalar):
         return value
     if isinstance(value, (int, Fraction, str)):
-        return ExactScalar(Fraction(value))
+        return ExactScalar(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact scalar")
 
 
@@ -203,8 +203,9 @@ class ExactScalar:
         if (p < 0 < q) or (q < 0 < p):
             # Rounded apart, p and q*sqrt3 of opposite signs cancel.  The
             # conjugate form (p^2 - 3q^2) / (p - q*sqrt3) / d adds like
-            # signs only.  Scaling by 2**-e keeps the squares in range.
-            e = max(math.frexp(p / d)[1], math.frexp(q / d)[1])
+            # signs only.  Scaling by 2**-e keeps the squares in range; e
+            # comes from exact bit lengths, as p/d and q/d may underflow.
+            e = max(p.bit_length(), q.bit_length()) - d.bit_length()
             scaled = _scaled_float(p * p - 3 * q * q, d * d, -2 * e) / (
                 _scaled_float(p, d, -e) - _scaled_float(q, d, -e) * _SQRT3_FLOAT
             )

@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._cyclic import CyclicElement
-from .scalars import ExactScalar, as_scalar, require_nonneg
+from ._cyclic import CyclicElement, join_scalars
+from .scalars import ExactScalar, _normalised, as_scalar, require_nonneg
 
 __all__ = ["CyclicTriple"]
 
-_HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
 
 
@@ -28,9 +27,10 @@ class CyclicTriple(CyclicElement):
 
     __slots__ = ()
     _NOUN = "triples"
+    _ORDERS = (3,)
 
     def __init__(self, a: object = 0, b: object = 0, c: object = 0) -> None:
-        self._parts = (
+        self._num, self._den = join_scalars(
             require_nonneg(a, "component a"),
             require_nonneg(b, "component b"),
             require_nonneg(c, "component c"),
@@ -68,15 +68,15 @@ class CyclicTriple(CyclicElement):
 
     @property
     def a(self) -> ExactScalar:
-        return self._parts[0]
+        return self._part(0)
 
     @property
     def b(self) -> ExactScalar:
-        return self._parts[1]
+        return self._part(1)
 
     @property
     def c(self) -> ExactScalar:
-        return self._parts[2]
+        return self._part(2)
 
     def __mul__(self, other: object) -> "CyclicTriple":
         return self._times(other)
@@ -93,21 +93,28 @@ class CyclicTriple(CyclicElement):
         Invariant under adding constant vectors, multiplicative, and zero
         exactly when a = b = c.
         """
-        a, b, c = self._parts
-        return a * a + b * b + c * c - a * b - a * c - b * c
+        # with u = a - b and v = b - c it is u^2 + u*v + v^2
+        pa, qa, pb, qb, pc, qc = self._num
+        up, uq, vp, vq = pa - pb, qa - qb, pb - pc, qb - qc
+        return _normalised(
+            up * up + vp * vp + up * vp + 3 * (uq * uq + vq * vq + uq * vq),
+            2 * (up * uq + vp * vq) + up * vq + uq * vp,
+            self._den * self._den,
+        )
 
     def norm(self) -> float:
         return math.sqrt(max(0.0, float(self.norm_sq())))
 
     def conj(self) -> "CyclicTriple":
         """Swap b and c: the complex conjugate under the quotient."""
-        a, b, c = self._parts
-        return self._make((a, c, b))
+        pa, qa, pb, qb, pc, qc = self._num
+        return self._make((pa, qa, pc, qc, pb, qb), self._den)
 
     def to_complex(self) -> complex:
-        a, b, c = self._parts
-        re = a - (b + c) * ExactScalar(_HALF)
-        im = (b - c) * ExactScalar(0, _HALF)
+        # re = a - (b + c)/2 and im = (b - c)*sqrt3/2, both over 2d
+        pa, qa, pb, qb, pc, qc = self._num
+        re = _normalised(2 * pa - pb - pc, 2 * qa - qb - qc, 2 * self._den)
+        im = _normalised(3 * (qb - qc), pb - pc, 2 * self._den)
         return complex(float(re), float(im))
 
     def __eq__(self, other: object) -> bool:
@@ -116,7 +123,7 @@ class CyclicTriple(CyclicElement):
     __hash__ = CyclicElement.__hash__
 
     def __str__(self) -> str:
-        return "t{{{},{},{}}}".format(*self._parts)
+        return "t{{{},{},{}}}".format(*self.components)
 
     def __repr__(self) -> str:
-        return "CyclicTriple({}, {}, {})".format(*self._parts)
+        return "CyclicTriple({}, {}, {})".format(*self.components)

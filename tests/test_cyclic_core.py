@@ -3,16 +3,28 @@
 The reference below is the arithmetic the core replaced: the
 hand-expanded pair, triple and matrix product formulas and the old
 square-and-multiply loop (which starts from one and squares after the
-top bit), on plain tuples of ExactScalar.  Raw, unreduced results must
-print identically, since printed output includes raw components.
+top bit), on plain tuples of ExactScalar, with a matrix as three triple
+columns.  The core holds ints over one shared denominator instead.
+Raw, unreduced results must print identically, since printed output
+includes raw components, and the float views must agree bit for bit.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from signfree import UNIT_VALUES, CyclicMatrix, CyclicTriple, ExactScalar, UnitName, UnsignedPair
+from signfree import (
+    UNIT_VALUES,
+    CyclicMatrix,
+    CyclicTriple,
+    ExactScalar,
+    UnitName,
+    UnsignedPair,
+    absolute_zero,
+)
+from signfree.units import _UNIT_DEFS
 
 SEEDS = range(200)
 EXPONENTS = range(13)
@@ -211,3 +223,166 @@ def test_unit_square_is_one_product(monkeypatch):
     count = _count_products(monkeypatch, CyclicMatrix)
     assert UNIT_VALUES[UnitName.I] ** 2 == UNIT_VALUES[UnitName.NEG1]
     assert count[0] == 1
+
+
+# The old views of a tuple of ExactScalar (the columns, for matrices).
+
+_HALF, _ROOT_HALF = ExactScalar(Fraction(1, 2)), ExactScalar(0, Fraction(1, 2))
+_OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
+_OMEGA2 = complex(-0.5, -math.sqrt(3.0) / 2.0)
+
+
+def ref_repr(name, x):
+    if name == "pair":
+        return "UnsignedPair(%s, %s)" % x
+    if name == "triple":
+        return "CyclicTriple(%s, %s, %s)" % x
+    return "CyclicMatrix(%s, %s, %s)" % tuple(ref_repr("triple", col) for col in x)
+
+
+def ref_is_reduced(name, x):
+    if name == "matrix":
+        return all(ref_is_reduced("triple", col) for col in x)
+    return min(x).sign() == 0
+
+
+def ref_norm_sq(x):
+    a, b, c = x
+    return a * a + b * b + c * c - a * b - a * c - b * c
+
+
+def ref_to_complex(x):
+    a, b, c = x
+    return complex(float(a - (b + c) * _HALF), float((b - c) * _ROOT_HALF))
+
+
+def ref_characters(cols):
+    pa, pb, pc = (ref_to_complex(col) for col in cols)
+    return (pa + pb + pc, pa + _OMEGA * pb + _OMEGA2 * pc, pa + _OMEGA2 * pb + _OMEGA * pc)
+
+
+def bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+def check_views(name, bx, x, where):
+    """Accessors, float views and norms of `bx` against the parts `x`."""
+    assert bx.is_reduced == ref_is_reduced(name, x), where
+    if name == "matrix":
+        columns = bx.columns
+        assert bx.components == columns and (bx.col_a, bx.col_b, bx.col_c) == columns, where
+        assert all(type(col) is CyclicTriple for col in columns), where
+        assert [col.components for col in columns] == list(x), where
+        rows = bx.rows()
+        assert all(type(entry) is ExactScalar for row in rows for entry in row), where
+        assert rows == tuple(zip(*x)), where
+        sums = ref_add(ref_add(x[0], x[1]), x[2])
+        assert bx.row_sums().components == sums, where
+        assert str(bx.norm_sq()) == str(ref_norm_sq(sums)), where
+        assert bits(bx.characters()) == bits(ref_characters(x)), where
+        return
+    components = bx.components
+    assert all(type(part) is ExactScalar for part in components), where
+    assert components == x and [str(part) for part in components] == [str(part) for part in x], where
+    if name == "triple":
+        assert (bx.a, bx.b, bx.c) == x, where
+        assert str(bx.norm_sq()) == str(ref_norm_sq(x)), where
+        assert bits([bx.to_complex()]) == bits([ref_to_complex(x)]), where
+    else:
+        assert (bx.plus, bx.minus) == x and bx.to_signed() == x[0] - x[1], where
+
+
+def check_against_reference(name, x, y, factor, exponents, where):
+    """Raw str and repr of every operation, and the views of each result."""
+    build, mul, add, reduce, scale, one, show = SYSTEMS[name]
+    bx, by = build(x), build(y)
+    results = [
+        (bx, x),
+        (bx * by, mul(x, y)),
+        (bx + by, add(x, y)),
+        (factor * bx, scale(factor, x)),
+        (bx * factor, scale(factor, x)),
+        (bx.reduce(), reduce(x)),
+    ]
+    results += [(bx**n, ref_pow(x, n, one, mul)) for n in exponents]
+    for value, ref in results:
+        assert str(value) == show(ref), where
+        assert repr(value) == ref_repr(name, ref), where
+        check_views(name, value, ref, where)
+
+
+def _scalars(*values):
+    """ExactScalars from ints, Fractions and ("sqrt3", r) for r*sqrt3."""
+    return [ExactScalar(0, v[1]) if isinstance(v, tuple) else ExactScalar(v) for v in values]
+
+
+# the units' columns from their definitions: a scale times integer rows
+UNIT_PARTS = {
+    name: tuple(tuple(scale * ExactScalar(row[s]) for row in rows) for s in range(3))
+    for name, (scale, rows) in _UNIT_DEFS.items()
+}
+
+# entries whose denominators differ, so an element's shared one is an lcm
+MIXED = _scalars(Fraction(1, 2), Fraction(1, 3), ("sqrt3", Fraction(1, 9)), Fraction(7, 5), 0, 1)
+# sixths and their cancelling partners: a product or scaling loses the denominator
+SIXTHS = _scalars(Fraction(1, 6), Fraction(1, 2), ("sqrt3", Fraction(1, 3)), Fraction(5, 6), 0)
+CANCELLERS = _scalars(6, 12, ("sqrt3", 2), 0)
+
+
+def draw_parts(rng, name, pool):
+    if name == "matrix":
+        return tuple(tuple(rng.choice(pool) for _ in range(3)) for _ in range(3))
+    return tuple(rng.choice(pool) for _ in range(len(SYSTEMS[name][5])))
+
+
+def edge_operands(name):
+    """(label, x, y, factor): the operand families next to random ones."""
+    rng = random.Random(f"edge:{name}")
+    zero = draw_parts(rng, name, [_ZERO])
+    for i in range(12):
+        x, y = draw_parts(rng, name, MIXED), draw_parts(rng, name, MIXED)
+        yield f"mixed {i}", x, y, rng.choice(MIXED)
+    for i in range(12):
+        x, y = draw_parts(rng, name, SIXTHS), draw_parts(rng, name, CANCELLERS)
+        yield f"cancelling {i}", x, y, rng.choice(CANCELLERS)
+    yield "zero times mixed", zero, draw_parts(rng, name, MIXED), ExactScalar(0, 1)
+    yield "zero times zero", zero, zero, _ZERO
+    for i in range(12):
+        yield f"random {i}", rand_parts(rng, name), rand_parts(rng, name), rand_entry(rng)
+    if name == "matrix":
+        units = list(UNIT_PARTS.values())
+        for i, unit in enumerate(units):
+            yield f"unit {i}", unit, units[(5 * i + 3) % len(units)], ExactScalar(0, Fraction(1, 9))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_core_matches_reference_on_edge_operands(name):
+    for label, x, y, factor in edge_operands(name):
+        check_against_reference(name, x, y, factor, range(6), f"{name} {label}")
+
+
+def test_unit_products_match_reference():
+    for u, x in UNIT_PARTS.items():
+        assert str(UNIT_VALUES[u]) == show_matrix(x), u
+        for v, y in UNIT_PARTS.items():
+            product = UNIT_VALUES[u] * UNIT_VALUES[v]
+            assert str(product) == show_matrix(ref_matrix_mul(x, y)), (u, v)
+            assert str(product.reduce()) == show_matrix(ref_matrix_reduce(ref_matrix_mul(x, y))), (u, v)
+
+
+def test_equality_and_hash_across_denominators():
+    pairs = [
+        (UnsignedPair(Fraction(1, 2), Fraction(1, 2)), UnsignedPair(0, 0)),
+        (CyclicTriple(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), CyclicTriple(0, 0, 0)),
+        (
+            CyclicTriple(Fraction(1, 3), ExactScalar(1, Fraction(1, 9)), 1),
+            CyclicTriple(0, ExactScalar(Fraction(2, 3), Fraction(1, 9)), Fraction(2, 3)),
+        ),
+    ]
+    rng = random.Random("across")
+    for _ in range(20):
+        x = CyclicMatrix(*draw_parts(rng, "matrix", MIXED))
+        pairs.append((x + absolute_zero(Fraction(1, 3), Fraction(1, 7), 0), x))
+    for a, b in pairs:
+        assert a == b and b == a and hash(a) == hash(b), (a, b)
+    assert CyclicTriple(Fraction(1, 2), 0, 0) != CyclicTriple(0, 0, 0)

@@ -138,7 +138,9 @@ class RefScalar:
     def __float__(self):
         q, r = self._rat, self._root
         if (q < 0 < r) or (r < 0 < q):
-            e = max(math.frexp(float(q))[1], math.frexp(float(r))[1])
+            # the scale comes from exact bit lengths, as in the kernel: the
+            # float exponent of a part that underflows is 0, not its own
+            e = max(x.numerator.bit_length() - x.denominator.bit_length() for x in (q, r))
             unit = Fraction(2) ** -e
             q2, r2 = q * unit, r * unit
             scaled = float(q2 * q2 - 3 * r2 * r2) / (float(q2) - float(r2) * _SQRT3_FLOAT)

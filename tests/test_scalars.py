@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signfree import SQRT3, ExactScalar, as_scalar
+from signfree.cli import main
 
 THIRD = Fraction(1, 3)
 
@@ -126,3 +127,35 @@ def test_float_of_cancelling_parts_stays_finite():
     near_largest = (math.sqrt(3) / 6 - 0.5) * sys.float_info.max
     assert float(ExactScalar(-largest / 2, largest / 6)) == pytest.approx(near_largest, rel=1e-15)
     assert float(ExactScalar(1, -1)) == pytest.approx(1 - math.sqrt(3), rel=1e-15)
+
+
+SMALLEST_SUBNORMAL = 5e-324
+
+
+def test_float_of_cancelling_parts_that_underflow():
+    # both p/d and q/d underflow a float; the scale comes from exact bit lengths
+    tiny = ExactScalar(Fraction(1, 10**400), Fraction(-1, 10**400))
+    for value in (tiny, -tiny):
+        assert abs(float(value)) <= SMALLEST_SUBNORMAL
+    assert math.copysign(1.0, float(tiny)) == -1.0 and math.copysign(1.0, float(-tiny)) == 1.0
+    # one part underflows, the other is a normal float: the value is kept
+    value = ExactScalar(Fraction(-3, 10**330), Fraction(2, 10**300))
+    assert float(value) == pytest.approx(2 * math.sqrt(3) * 1e-300, rel=1e-15)
+
+
+def test_float_of_subnormal_cancelling_value():
+    # (21/4 - 3*sqrt3)^5 is about 4.5e-7; scaled by 10^-304 it is a subnormal
+    value = ExactScalar(Fraction(21, 4), -3) ** 5 * ExactScalar(Fraction(1, 10**304))
+    with localcontext() as context:
+        context.prec = 60
+        exact = (Decimal(21) / 4 - 3 * Decimal(3).sqrt()) ** 5 * Decimal(10) ** -304
+    assert 0 < float(value) < sys.float_info.min
+    assert abs(float(value) - float(exact)) <= SMALLEST_SUBNORMAL
+
+
+def test_eval_of_underflowing_complex_value(capsys):
+    # to_complex gives re = (1 - sqrt3/2) * 10^-400, whose parts both underflow
+    text = "tocomplex(t{0,0,1/10}^400*t{0,0,sqrt3} + t{1/10,0,0}^400)"
+    assert main(["eval", text]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("0+0*i\n", "")
