@@ -176,13 +176,7 @@ class CyclicElement:
 
     @property
     def is_reduced(self) -> bool:
-        """Whether every run's minimum is zero: parts are nonnegative, so
-        whether every run has a zero part."""
-        num, run = self._num, self._RUN
-        return all(
-            any(num[i] == num[i + 1] == 0 for i in range(start, start + run, 2))
-            for start in range(0, len(num), run)
-        )
+        return self._reduce()._num == self._num
 
     def _key(self) -> tuple:
         """Each run's parts less its first part, over ``d`` in lowest terms:

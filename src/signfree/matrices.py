@@ -1,12 +1,15 @@
 """3x3 nonnegative matrices built from three cyclic-triple columns.
 
-A :class:`CyclicMatrix` is stored and printed with rows a, b, c top to
-bottom and columns A, B, C left to right.  Each column is a
+A :class:`CyclicMatrix` is printed with rows a, b, c top to bottom and
+columns A, B, C left to right.  Each column is a
 :class:`~signfree.triples.CyclicTriple`, and the columns themselves
 follow the same cyclic rule (B*B lands in C, B*C in A, C*C in B), which
-makes the product commutative, associative and distributive: it is the
-shared cyclic core (:mod:`signfree._cyclic`) with three triple parts,
-Q(sqrt 3)[C3 x C3].
+makes the product commutative, associative and distributive: it is
+Q(sqrt 3)[C3 x C3].  The shared cyclic core (:mod:`signfree._cyclic`)
+holds a matrix as one 9-part element, entry (row r, column s) being
+part ``3*s + r``: 18 ints over one shared denominator, multiplied by
+the C3 x C3 convolution.  Columns, rows and entries are built from
+those ints when asked for.
 
 Two families of additive zeros exist:
 

@@ -311,22 +311,20 @@ def check_against_reference(name, x, y, factor, exponents, where):
         check_views(name, value, ref, where)
 
 
-def _scalars(*values):
-    """ExactScalars from ints, Fractions and ("sqrt3", r) for r*sqrt3."""
-    return [ExactScalar(0, v[1]) if isinstance(v, tuple) else ExactScalar(v) for v in values]
-
-
 # the units' columns from their definitions: a scale times integer rows
 UNIT_PARTS = {
     name: tuple(tuple(scale * ExactScalar(row[s]) for row in rows) for s in range(3))
     for name, (scale, rows) in _UNIT_DEFS.items()
 }
 
+_ROOT_NINTH = ExactScalar(0, Fraction(1, 9))
 # entries whose denominators differ, so an element's shared one is an lcm
-MIXED = _scalars(Fraction(1, 2), Fraction(1, 3), ("sqrt3", Fraction(1, 9)), Fraction(7, 5), 0, 1)
+MIXED = [
+    ExactScalar(Fraction(1, 2)), ExactScalar(Fraction(1, 3)), _ROOT_NINTH, ExactScalar(Fraction(7, 5)), _ZERO, _ONE
+]
 # sixths and their cancelling partners: a product or scaling loses the denominator
-SIXTHS = _scalars(Fraction(1, 6), Fraction(1, 2), ("sqrt3", Fraction(1, 3)), Fraction(5, 6), 0)
-CANCELLERS = _scalars(6, 12, ("sqrt3", 2), 0)
+SIXTHS = [ExactScalar(Fraction(1, 6)), ExactScalar(Fraction(1, 2)), ExactScalar(0, Fraction(1, 3)), _ZERO]
+CANCELLERS = [ExactScalar(6), ExactScalar(12), ExactScalar(0, 2), _ZERO]
 
 
 def draw_parts(rng, name, pool):
@@ -352,7 +350,7 @@ def edge_operands(name):
     if name == "matrix":
         units = list(UNIT_PARTS.values())
         for i, unit in enumerate(units):
-            yield f"unit {i}", unit, units[(5 * i + 3) % len(units)], ExactScalar(0, Fraction(1, 9))
+            yield f"unit {i}", unit, units[(5 * i + 3) % len(units)], _ROOT_NINTH
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -381,7 +379,8 @@ def test_equality_and_hash_across_denominators():
     ]
     rng = random.Random("across")
     for _ in range(20):
-        x = CyclicMatrix(*draw_parts(rng, "matrix", MIXED))
+        col_a, col_b, col_c = draw_parts(rng, "matrix", MIXED)
+        x = CyclicMatrix((_ROOT_NINTH,) + col_a[1:], col_b, col_c)
         pairs.append((x + absolute_zero(Fraction(1, 3), Fraction(1, 7), 0), x))
     for a, b in pairs:
         assert a == b and b == a and hash(a) == hash(b), (a, b)
