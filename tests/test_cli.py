@@ -25,6 +25,14 @@ def test_eval_reports_errors_and_continues(capsys):
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert captured.out.splitlines() == ["2"]
+    texts = ["t{1,0-1,0}", "m{[0,0,0];[0,0,0];[0,1-3/2,0]}", "p{0,0} * (1-2)", "p{1-2,0}"]
+    assert main(["eval", *texts]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: component b must be nonnegative, got -1",
+        "error: component c must be nonnegative, got -1/2",
+        "error: scale factor must be nonnegative, got -1",
+        "error: plus component must be nonnegative, got -1",
+    ]
 
 
 @pytest.mark.skipif(

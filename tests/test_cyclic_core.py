@@ -20,9 +20,12 @@ from signfree import (
     CyclicMatrix,
     CyclicTriple,
     ExactScalar,
+    RowSelector,
     UnitName,
     UnsignedPair,
     absolute_zero,
+    as_scalar,
+    rotation_zero,
 )
 from signfree.units import _UNIT_DEFS
 
@@ -385,3 +388,154 @@ def test_equality_and_hash_across_denominators():
     for a, b in pairs:
         assert a == b and b == a and hash(a) == hash(b), (a, b)
     assert CyclicTriple(Fraction(1, 2), 0, 0) != CyclicTriple(0, 0, 0)
+
+
+# The construction path the boundary function replaced: each entry checked
+# on its own (`require_nonneg`), the checked scalars joined over the lcm
+# of their denominators (`join_scalars`), a matrix built from three such
+# triples and joined again, and the old hand-written embeddings.
+
+
+def ref_require_nonneg(value, what):
+    scalar = as_scalar(value)
+    if scalar.sign() < 0:
+        raise ValueError(f"{what} must be nonnegative, got {scalar}")
+    return scalar
+
+
+def ref_join(payloads):
+    den = math.lcm(*[d for _, d in payloads])
+    return tuple([n * (den // d) for num, d in payloads for n in num]), den
+
+
+def ref_vector(entries, names):
+    """(parts, payload) of a pair or triple."""
+    parts = tuple(ref_require_nonneg(value, what) for value, what in zip(entries, names))
+    return parts, ref_join([((s._p, s._q), s._d) for s in parts])
+
+
+_PAIR_NAMES = ("plus component", "minus component")
+_TRIPLE_NAMES = ("component a", "component b", "component c")
+
+
+def ref_matrix(columns):
+    """(parts, payload) of a matrix from three triples' (parts, payload)."""
+    return tuple(parts for parts, _ in columns), ref_join([payload for _, payload in columns])
+
+
+def ref_from_rows(rows):
+    return ref_matrix([ref_vector([row[s] for row in rows], _TRIPLE_NAMES) for s in range(3)])
+
+
+def ref_from_signed(name, value):
+    scalar = as_scalar(value)
+    negative = scalar.sign() < 0
+    if name == "pair":
+        return ref_vector((0, -scalar) if negative else (scalar, 0), _PAIR_NAMES)
+    triple = ref_vector((0, -scalar, -scalar) if negative else (scalar, 0, 0), _TRIPLE_NAMES)
+    if name == "triple":
+        return triple
+    zero = ref_vector((0, 0, 0), _TRIPLE_NAMES)
+    return ref_matrix([triple, zero, zero])
+
+
+def ref_absolute_zero(xi, zeta, eta):
+    constants = [
+        ref_require_nonneg(value, f"column {column} constant")
+        for value, column in zip((xi, zeta, eta), "ABC")
+    ]
+    return ref_matrix([ref_vector((k, k, k), _TRIPLE_NAMES) for k in constants])
+
+
+def ref_rotation_zero(selector, xi):
+    value = as_scalar(xi)
+    if value.sign() <= 0:
+        raise ValueError(f"rotation zeros need a positive entry, got {value}")
+    grid = [[_ZERO] * 3 for _ in range(3)]
+    for row, column in enumerate(selector.choices):
+        grid[row]["ABC".index(column)] = value
+    return ref_from_rows(grid)
+
+
+# positive values whose rational and sqrt3 parts have opposite signs
+SIGN_EDGES = [ExactScalar(-1, 1), ExactScalar(Fraction(-5, 3), 1), ExactScalar(Fraction(1, 2), Fraction(-1, 4))]
+# entries every constructor refuses, one at a time
+BAD_ENTRIES = [-1, Fraction(-1, 6), "-0.75", ExactScalar(1, -1), ExactScalar(Fraction(-7, 4), 1), 1.5, "1/x"]
+
+
+def raw_entry(rng):
+    """An outside entry: an int, Fraction, numeric str or scalar, mixed denominators."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(0, 9)
+    if kind == 1:
+        return Fraction(rng.randint(0, 9), rng.randint(1, 12))
+    if kind == 2:
+        return rng.choice((f"{rng.randint(0, 9)}/{rng.randint(1, 12)}", f"{rng.randint(0, 99) / 20}"))
+    if kind == 3:
+        return rand_entry(rng)
+    return rng.choice(SIGN_EDGES)
+
+
+def raw_entries(rng, n):
+    entries = [raw_entry(rng) for _ in range(n)]
+    if rng.randrange(4) == 0:
+        entries[rng.randrange(n)] = rng.choice(BAD_ENTRIES)
+    return entries
+
+
+def construction_cases(name, rng):
+    """(label, build, reference) for each construction path of a system."""
+    signed = rng.choice([raw_entry(rng), -as_scalar(raw_entry(rng)), rng.choice(BAD_ENTRIES)])
+    if name == "pair":
+        x = raw_entries(rng, 2)
+        yield "init", lambda: UnsignedPair(*x), lambda: ref_vector(x, _PAIR_NAMES)
+        yield "zero", UnsignedPair.zero, lambda: ref_vector((0, 0), _PAIR_NAMES)
+        yield "one", UnsignedPair.one, lambda: ref_vector((1, 0), _PAIR_NAMES)
+        yield "from_signed", lambda: UnsignedPair.from_signed(signed), lambda: ref_from_signed(name, signed)
+        return
+    if name == "triple":
+        x = raw_entries(rng, 3)
+        yield "init", lambda: CyclicTriple(*x), lambda: ref_vector(x, _TRIPLE_NAMES)
+        yield "zero", CyclicTriple.zero, lambda: ref_vector((0, 0, 0), _TRIPLE_NAMES)
+        yield "one", CyclicTriple.one, lambda: ref_vector((1, 0, 0), _TRIPLE_NAMES)
+        yield "from_signed", lambda: CyclicTriple.from_signed(signed), lambda: ref_from_signed(name, signed)
+        return
+    x = raw_entries(rng, 9)
+    rows = [x[r::3] for r in range(3)]  # x holds the entries column by column
+    columns = [x[0:3], tuple(x[3:6]), x[6:9]]
+    yield "from_rows", lambda: CyclicMatrix.from_rows(rows), lambda: ref_from_rows(rows)
+    yield "init", lambda: CyclicMatrix(*columns), lambda: ref_from_rows(rows)
+    try:
+        first = CyclicTriple(*x[0:3])  # a built column is taken as it is
+    except (TypeError, ValueError):
+        pass
+    else:
+        yield "init with a triple", lambda: CyclicMatrix(first, *columns[1:]), lambda: ref_from_rows(rows)
+    yield "zero", CyclicMatrix.zero, lambda: ref_from_rows([[0] * 3] * 3)
+    yield "one", CyclicMatrix.one, lambda: ref_from_rows([[1, 0, 0], [0] * 3, [0] * 3])
+    yield "from_signed", lambda: CyclicMatrix.from_signed(signed), lambda: ref_from_signed(name, signed)
+    constants = raw_entries(rng, 3)
+    yield "absolute_zero", lambda: absolute_zero(*constants), lambda: ref_absolute_zero(*constants)
+    selector, xi = rng.choice(RowSelector.all()), rng.choice([x[0], 0, signed])
+    yield "rotation_zero", lambda: rotation_zero(selector, xi), lambda: ref_rotation_zero(selector, xi)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_construction_matches_old_path(name):
+    show = SYSTEMS[name][6]
+    for seed in SEEDS:
+        rng = random.Random(f"construct:{name}:{seed}")
+        for label, build, reference in construction_cases(name, rng):
+            where = f"{name} seed {seed} {label}"
+            try:
+                parts, payload = reference()
+            except (TypeError, ValueError) as err:
+                with pytest.raises(type(err)) as got:
+                    build()
+                assert str(got.value) == str(err), where
+                continue
+            value = build()
+            assert (value._num, value._den) == payload, where
+            assert str(value) == show(parts), where
+            assert repr(value) == ref_repr(name, parts), where

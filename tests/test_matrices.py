@@ -129,8 +129,42 @@ def test_absolute_zeros():
     shifted = M1 + absolute_zero(1, 2, 3)
     assert shifted == M1
     assert shifted.col_a.components == tuple(x + 1 for x in M1.col_a.components)
-    with pytest.raises(ValueError):
-        absolute_zero(-1, 0, 0)
+    for which, column in enumerate("ABC"):
+        constants = [1, 2, 3]
+        constants[which] = Fraction(-1, 3)
+        with pytest.raises(ValueError) as err:
+            absolute_zero(*constants)
+        assert str(err.value) == f"column {column} constant must be nonnegative, got -1/3"
+    with pytest.raises(TypeError) as err:
+        absolute_zero(0, 0.0, -1)
+    assert str(err.value) == "cannot interpret float as an exact scalar"
+
+
+def test_negative_entries_rejected():
+    # from_rows checks column by column (A, B, C), each top to bottom,
+    # and names an entry by its row
+    for r, s in [(r, s) for r in range(3) for s in range(3)]:
+        grid = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        grid[r][s] = -1
+        with pytest.raises(ValueError) as err:
+            CyclicMatrix.from_rows(grid)
+        assert str(err.value) == f"component {'abc'[r]} must be nonnegative, got -1", (r, s)
+    with pytest.raises(ValueError) as err:
+        CyclicMatrix.from_rows([[0, -3, 0], [0, 0, 0], [-2, 0, 0]])
+    assert str(err.value) == "component c must be nonnegative, got -2"
+    with pytest.raises(TypeError) as err:
+        CyclicMatrix.from_rows([[0, 0, 0], [0, 0.5, 0], [0, 0, -1]])
+    assert str(err.value) == "cannot interpret float as an exact scalar"
+    with pytest.raises(ValueError) as err:
+        CyclicMatrix.from_rows([[0, 0, 0], [0, 0], [0, 0, 0]])
+    assert str(err.value) == "expected a 3x3 grid of entries"
+    # a 3-sequence column, checked before the columns after it
+    with pytest.raises(ValueError) as err:
+        CyclicMatrix((0, 0, 0), [0, 0, Fraction(-7, 2)], "bad")
+    assert str(err.value) == "component c must be nonnegative, got -7/2"
+    with pytest.raises(TypeError) as err:
+        CyclicMatrix((0, 0, 0), (0, 0), (0, 0, -1))
+    assert str(err.value) == "column B must be a CyclicTriple or a 3-sequence"
 
 
 def test_absolute_zero_products_have_constant_columns():
@@ -146,8 +180,13 @@ def test_rotation_zero_construction():
     assert rows_equal(cycled, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     doubled = rotation_zero(RowSelector("A", "B", "B"), 1)
     assert rows_equal(doubled, [[1, 0, 0], [0, 1, 0], [0, 1, 0]])
-    with pytest.raises(ValueError):
-        rotation_zero(RowSelector.identity(), 0)
+    for xi, shown in ((0, "0"), (-1, "-1"), (ExactScalar(1, -1), "1-1*sqrt3")):
+        with pytest.raises(ValueError) as err:
+            rotation_zero(RowSelector.identity(), xi)
+        assert str(err.value) == f"rotation zeros need a positive entry, got {shown}"
+    with pytest.raises(TypeError) as err:
+        rotation_zero(RowSelector.identity(), 1.5)
+    assert str(err.value) == "cannot interpret float as an exact scalar"
     with pytest.raises(ValueError):
         RowSelector("A", "B", "x")
 

@@ -68,11 +68,33 @@ def test_equality_chains():
     assert UnsignedPair(1, 0) != UnsignedPair(0, 1)
 
 
+def raised(exc, build):
+    """The text of the `exc` that `build()` raises."""
+    with pytest.raises(exc) as err:
+        build()
+    return str(err.value)
+
+
 def test_negative_components_rejected():
-    with pytest.raises(ValueError):
-        UnsignedPair(-1, 0)
-    with pytest.raises(ValueError):
-        ExactScalar(-2) * UnsignedPair(1, 0)
+    assert raised(ValueError, lambda: UnsignedPair(-1, 0)) == "plus component must be nonnegative, got -1"
+    assert raised(ValueError, lambda: UnsignedPair(0, Fraction(-1, 2))) == (
+        "minus component must be nonnegative, got -1/2"
+    )
+    # checked entry by entry: the first bad entry decides the error
+    assert raised(ValueError, lambda: UnsignedPair("-2.5", 1.0)) == (
+        "plus component must be nonnegative, got -5/2"
+    )
+    assert raised(TypeError, lambda: UnsignedPair(1, 2.0)) == "cannot interpret float as an exact scalar"
+    assert raised(ValueError, lambda: UnsignedPair("x", 0)) == "Invalid literal for Fraction: 'x'"
+    assert raised(ValueError, lambda: ExactScalar(-2) * UnsignedPair(1, 0)) == (
+        "scale factor must be nonnegative, got -2"
+    )
+    assert raised(ValueError, lambda: UnsignedPair(1, 0) * ExactScalar(1, -1)) == (
+        "scale factor must be nonnegative, got 1-1*sqrt3"
+    )
+    assert raised(TypeError, lambda: UnsignedPair.from_signed(1.5)) == (
+        "cannot interpret float as an exact scalar"
+    )
 
 
 def test_scaling_and_powers():

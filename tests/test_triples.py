@@ -153,8 +153,22 @@ def test_scaling():
 
 
 def test_negative_components_rejected():
-    with pytest.raises(ValueError):
-        CyclicTriple(1, -1, 0)
+    for position, name in enumerate("abc"):
+        for bad, shown in ((-1, "-1"), (Fraction(-1, 2), "-1/2"), (ExactScalar(1, -1), "1-1*sqrt3")):
+            entries = [1, 2, 3]
+            entries[position] = bad
+            with pytest.raises(ValueError) as err:
+                CyclicTriple(*entries)
+            assert str(err.value) == f"component {name} must be nonnegative, got {shown}"
+    with pytest.raises(ValueError) as err:
+        CyclicTriple(0, "-0.25", -1)
+    assert str(err.value) == "component b must be nonnegative, got -1/4"
+    with pytest.raises(TypeError) as err:
+        CyclicTriple(0, 0.5, -1)
+    assert str(err.value) == "cannot interpret float as an exact scalar"
+    with pytest.raises(ValueError) as err:
+        CyclicTriple(0, 0, "1/x")
+    assert str(err.value) == "Invalid literal for Fraction: '1/x'"
 
 
 @settings(max_examples=150, deadline=None)
