@@ -22,9 +22,12 @@ so equality and hashing compare those differences over ``d`` in lowest
 terms (`_key`).  `reduce()`, which subtracts each run's minimum part,
 gives the printed form.
 
-Nonnegativity is checked where values come from outside: in the public
-constructors and on scale factors.  Sums, products and reductions of
-nonnegative parts stay nonnegative, so results are built unchecked by
+Nonnegativity is checked once, where values come from outside: every
+constructor and every scale factor passes its entries through
+`checked_payload`, which reads each entry as ``(p, q, d)`` ints, tests
+its sign with one `_int_sign` and joins the entries over one
+denominator.  Sums, products and reductions of nonnegative parts stay
+nonnegative, so results are built unchecked by
 :meth:`CyclicElement._make`.  The public classes define their own
 ``__mul__``, ``reduce`` and so on as thin calls into this class, so that
 per-class instrumentation (``bench/tracing.py``) can wrap each apart.
@@ -35,8 +38,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from typing import Iterable
 
-from .scalars import ExactScalar, _int_sign, _normalised, power, require_nonneg
+from .scalars import ExactScalar, _int_sign, _normalised, as_scalar, power
 
 SCALAR_TYPES = (ExactScalar, int, Fraction, str)
 
@@ -82,8 +86,20 @@ def join(payloads: "list[tuple[tuple, int]]") -> "tuple[tuple, int]":
     return tuple([n * (den // d) for num, d in payloads for n in num]), den
 
 
-def join_scalars(*scalars: ExactScalar) -> "tuple[tuple, int]":
-    return join([((s._p, s._q), s._d) for s in scalars])
+def checked_payload(entries: "Iterable[object]", names: "Iterable[str]") -> "tuple[tuple, int]":
+    """The ``(ints, d)`` payload of outside entries, one part each.
+
+    An entry is an `ExactScalar`, int, Fraction or numeric str; each must
+    be nonnegative, and its name in `names` says which one is not.  Ints
+    and Fractions are read as they are, with no `ExactScalar` built.
+    """
+    payloads = []
+    for value, what in zip(entries, names):
+        p, q, d = ExactScalar._parts(value) or ExactScalar._parts(as_scalar(value))
+        if _int_sign(p, q) < 0:
+            raise ValueError(f"{what} must be nonnegative, got {_normalised(p, q, d)}")
+        payloads.append(((p, q), d))
+    return join(payloads)
 
 
 class CyclicElement:
@@ -99,12 +115,11 @@ class CyclicElement:
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._TABLE = convolution_table(*cls._ORDERS)
+        cls._SIZE = size = 2 * math.prod(cls._ORDERS)  # flat ints per element
         cls._RUN = run = 2 * cls._ORDERS[-1]  # flat ints per run
         # (i, j): flat int i and the same int (p or q) of its run's first part
         cls._KEY_PAIRS = tuple(
-            (start + i, start + i % 2)
-            for start in range(0, 2 * math.prod(cls._ORDERS), run)
-            for i in range(2, run)
+            (start + i, start + i % 2) for start in range(0, size, run) for i in range(2, run)
         )
 
     @classmethod
@@ -120,11 +135,24 @@ class CyclicElement:
 
     @classmethod
     def zero(cls) -> "CyclicElement":
-        return cls()
+        return cls._make([0] * cls._SIZE, 1)
 
     @classmethod
     def one(cls) -> "CyclicElement":
-        return cls(1)
+        return cls._make([1] + [0] * (cls._SIZE - 1), 1)
+
+    @classmethod
+    def from_signed(cls, value: object) -> "CyclicElement":
+        """A real number v, reduced: v >= 0 as part 0, v < 0 as -v in the
+        other parts of the first run."""
+        scalar = as_scalar(value)
+        p, q = scalar._p, scalar._q
+        num = [0] * cls._SIZE
+        if _int_sign(p, q) < 0:
+            num[2 : cls._RUN] = [-p, -q] * (cls._RUN // 2 - 1)
+        else:
+            num[:2] = p, q
+        return cls._make(num, scalar._d)
 
     def _part(self, i: int) -> ExactScalar:
         return _normalised(self._num[2 * i], self._num[2 * i + 1], self._den)
@@ -145,13 +173,13 @@ class CyclicElement:
         if isinstance(other, type(self)):
             return self._make(convolve(self._num, other._num, self._TABLE), self._den * other._den)
         if isinstance(other, SCALAR_TYPES):
-            factor = require_nonneg(other, "scale factor")
-            p, q, num = factor._p, factor._q, self._num
+            (p, q), d = checked_payload((other,), ("scale factor",))
+            num = self._num
             out = []
             for i in range(0, len(num), 2):
                 x, y = num[i], num[i + 1]
                 out += (x * p + 3 * y * q, x * q + y * p)
-            return self._make(out, self._den * factor._d)
+            return self._make(out, self._den * d)
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "CyclicElement":

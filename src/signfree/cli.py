@@ -100,7 +100,7 @@ def _grid_lines(report: units.TableReport) -> list[str]:
     for cell in report.failures:
         lines.append(
             f"FAIL [{cell.row.label} x {cell.col.label}]: expected {cell.expected.label},"
-            f" computed {cell.computed}"
+            f" computed {cell.computed.reduce()}"
         )
     lines.append(f"{report.table}: {report.n_passed}/{len(report.cells)} cells pass")
     return lines
@@ -117,7 +117,7 @@ def run_tables(
         passed += report.n_passed
         if machine:
             for cell in report.cells:
-                computed = cell.computed_name.label if cell.computed_name else str(cell.computed)
+                computed = cell.computed_name.label if cell.computed_name else str(cell.computed.reduce())
                 print(
                     "\t".join(
                         (

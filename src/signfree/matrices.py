@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from itertools import product as _iter_product
 from typing import Iterable
 
-from ._cyclic import CyclicElement, join
-from .scalars import ExactScalar, as_scalar, require_nonneg
-from .triples import CyclicTriple
+from ._cyclic import CyclicElement, checked_payload, join
+from .scalars import ExactScalar, as_scalar
+from .triples import _COMPONENTS, CyclicTriple
 
 __all__ = [
     "CyclicMatrix",
@@ -80,11 +80,11 @@ class RowSelector:
         return " ".join(f"{row}->{col}" for row, col in zip(_ROWS, self.choices))
 
 
-def _as_column(value: object, which: str) -> CyclicTriple:
+def _column_payload(value: object, which: str) -> "tuple[tuple, int]":
     if isinstance(value, CyclicTriple):
-        return value
+        return value._num, value._den
     if isinstance(value, (tuple, list)) and len(value) == 3:
-        return CyclicTriple(*value)
+        return checked_payload(value, _COMPONENTS)
     raise TypeError(f"column {which} must be a CyclicTriple or a 3-sequence")
 
 
@@ -96,8 +96,8 @@ class CyclicMatrix(CyclicElement):
     _ORDERS = (3, 3)
 
     def __init__(self, col_a: object, col_b: object, col_c: object) -> None:
-        columns = (_as_column(col_a, "A"), _as_column(col_b, "B"), _as_column(col_c, "C"))
-        self._num, self._den = join([(col._num, col._den) for col in columns])
+        columns = zip((col_a, col_b, col_c), _COLUMNS)
+        self._num, self._den = join([_column_payload(col, which) for col, which in columns])
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[object]]) -> "CyclicMatrix":
@@ -105,24 +105,9 @@ class CyclicMatrix(CyclicElement):
         grid = [list(row) for row in rows]
         if len(grid) != 3 or any(len(row) != 3 for row in grid):
             raise ValueError("expected a 3x3 grid of entries")
-        return cls(
-            CyclicTriple(grid[0][0], grid[1][0], grid[2][0]),
-            CyclicTriple(grid[0][1], grid[1][1], grid[2][1]),
-            CyclicTriple(grid[0][2], grid[1][2], grid[2][2]),
-        )
-
-    @classmethod
-    def zero(cls) -> "CyclicMatrix":
-        return cls(CyclicTriple.zero(), CyclicTriple.zero(), CyclicTriple.zero())
-
-    @classmethod
-    def one(cls) -> "CyclicMatrix":
-        return cls(CyclicTriple.one(), CyclicTriple.zero(), CyclicTriple.zero())
-
-    @classmethod
-    def from_signed(cls, value: object) -> "CyclicMatrix":
-        """Embed a real number into column A."""
-        return cls(CyclicTriple.from_signed(value), CyclicTriple.zero(), CyclicTriple.zero())
+        # checked column by column, each top to bottom, named by row
+        entries = [row[s] for s in range(3) for row in grid]
+        return cls._make(*checked_payload(entries, _COMPONENTS * 3))
 
     @property
     def col_a(self) -> CyclicTriple:
@@ -198,10 +183,9 @@ class CyclicMatrix(CyclicElement):
 
 def absolute_zero(xi: object, zeta: object, eta: object) -> CyclicMatrix:
     """Constant-column matrix: a member of the zero class."""
-    x = require_nonneg(xi, "column A constant")
-    z = require_nonneg(zeta, "column B constant")
-    e = require_nonneg(eta, "column C constant")
-    return CyclicMatrix(CyclicTriple(x, x, x), CyclicTriple(z, z, z), CyclicTriple(e, e, e))
+    names = [f"column {column} constant" for column in _COLUMNS]
+    (xp, xq, zp, zq, ep, eq), den = checked_payload((xi, zeta, eta), names)
+    return CyclicMatrix._make((xp, xq) * 3 + (zp, zq) * 3 + (ep, eq) * 3, den)
 
 
 def rotation_zero(selector: RowSelector, xi: object) -> CyclicMatrix:
@@ -214,11 +198,11 @@ def rotation_zero(selector: RowSelector, xi: object) -> CyclicMatrix:
     value = as_scalar(xi)
     if value.sign() <= 0:
         raise ValueError(f"rotation zeros need a positive entry, got {value}")
-    zero = ExactScalar(0)
-    grid = [[zero] * 3 for _ in range(3)]
-    for row_index, column in enumerate(selector.choices):
-        grid[row_index][_COLUMNS.index(column)] = value
-    return CyclicMatrix.from_rows(grid)
+    num = [0] * 18
+    for row, column in enumerate(selector.choices):
+        k = 2 * (3 * _COLUMNS.index(column) + row)  # entry (row, column) is part 3*s + r
+        num[k : k + 2] = value._p, value._q
+    return CyclicMatrix._make(num, value._d)
 
 
 def find_square_roots(target: CyclicMatrix, candidates: Iterable[CyclicMatrix]) -> list[CyclicMatrix]:

@@ -10,8 +10,8 @@ equality ignores.  The arithmetic is the shared cyclic core
 
 from __future__ import annotations
 
-from ._cyclic import CyclicElement, join_scalars
-from .scalars import ExactScalar, _normalised, as_scalar, require_nonneg
+from ._cyclic import CyclicElement, checked_payload
+from .scalars import ExactScalar, _normalised
 
 __all__ = ["UnsignedPair"]
 
@@ -24,18 +24,7 @@ class UnsignedPair(CyclicElement):
     _ORDERS = (2,)
 
     def __init__(self, plus: object = 0, minus: object = 0) -> None:
-        self._num, self._den = join_scalars(
-            require_nonneg(plus, "plus component"),
-            require_nonneg(minus, "minus component"),
-        )
-
-    @classmethod
-    def from_signed(cls, value: object) -> "UnsignedPair":
-        """Reduced pair for a real number of either sign."""
-        scalar = as_scalar(value)
-        if scalar.sign() < 0:
-            return cls(0, -scalar)
-        return cls(scalar, 0)
+        self._num, self._den = checked_payload((plus, minus), ("plus component", "minus component"))
 
     def to_signed(self) -> ExactScalar:
         p, q, r, s = self._num

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Callable, TypeVar
 
-__all__ = ["ExactScalar", "SQRT3", "as_scalar", "power", "require_nonneg"]
+__all__ = ["ExactScalar", "SQRT3", "as_scalar", "power"]
 
 _SQRT3_FLOAT = math.sqrt(3.0)
 
@@ -37,13 +37,6 @@ def as_scalar(value: "ExactScalar | Fraction | int | str") -> "ExactScalar":
     if isinstance(value, (int, Fraction, str)):
         return ExactScalar(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact scalar")
-
-
-def require_nonneg(value: "ExactScalar | Fraction | int | str", what: str) -> "ExactScalar":
-    scalar = as_scalar(value)
-    if scalar.sign() < 0:
-        raise ValueError(f"{what} must be nonnegative, got {scalar}")
-    return scalar
 
 
 def power(base: _T, exponent: int, one: Callable[[], _T]) -> _T:

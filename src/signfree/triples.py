@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._cyclic import CyclicElement, join_scalars
-from .scalars import ExactScalar, _normalised, as_scalar, require_nonneg
+from ._cyclic import CyclicElement, checked_payload
+from .scalars import ExactScalar, _normalised
 
 __all__ = ["CyclicTriple"]
 
 _THIRD = Fraction(1, 3)
+_COMPONENTS = ("component a", "component b", "component c")  # entry names in errors
 
 
 class CyclicTriple(CyclicElement):
@@ -30,19 +31,7 @@ class CyclicTriple(CyclicElement):
     _ORDERS = (3,)
 
     def __init__(self, a: object = 0, b: object = 0, c: object = 0) -> None:
-        self._num, self._den = join_scalars(
-            require_nonneg(a, "component a"),
-            require_nonneg(b, "component b"),
-            require_nonneg(c, "component c"),
-        )
-
-    @classmethod
-    def from_signed(cls, value: object) -> "CyclicTriple":
-        """Embed a real number: v >= 0 as (v,0,0), v < 0 as (0,-v,-v)."""
-        scalar = as_scalar(value)
-        if scalar.sign() < 0:
-            return cls(0, -scalar, -scalar)
-        return cls(scalar, 0, 0)
+        self._num, self._den = checked_payload((a, b, c), _COMPONENTS)
 
     @classmethod
     def from_complex(cls, value: complex, digits: int = 12) -> "CyclicTriple":
@@ -58,7 +47,7 @@ class CyclicTriple(CyclicElement):
         scale = 10**digits
         x = Fraction(round(Fraction(z.real) * scale), scale)
         y = Fraction(round(Fraction(z.imag) * scale), scale)
-        triple = cls(x, 0, 0) if x >= 0 else cls(0, -x, -x)
+        triple = cls.from_signed(x)
         if y >= 0:
             # y * (sqrt3/3) * (1, 2, 0) contributes exactly i*y
             triple = triple + cls(ExactScalar(0, y * _THIRD), ExactScalar(0, 2 * y * _THIRD), 0)

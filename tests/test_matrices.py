@@ -143,12 +143,13 @@ def test_absolute_zeros():
 def test_negative_entries_rejected():
     # from_rows checks column by column (A, B, C), each top to bottom,
     # and names an entry by its row
-    for r, s in [(r, s) for r in range(3) for s in range(3)]:
-        grid = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-        grid[r][s] = -1
-        with pytest.raises(ValueError) as err:
-            CyclicMatrix.from_rows(grid)
-        assert str(err.value) == f"component {'abc'[r]} must be nonnegative, got -1", (r, s)
+    for r in range(3):
+        for s in range(3):
+            grid = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+            grid[r][s] = -1
+            with pytest.raises(ValueError) as err:
+                CyclicMatrix.from_rows(grid)
+            assert str(err.value) == f"component {'abc'[r]} must be nonnegative, got -1", (r, s)
     with pytest.raises(ValueError) as err:
         CyclicMatrix.from_rows([[0, -3, 0], [0, 0, 0], [-2, 0, 0]])
     assert str(err.value) == "component c must be nonnegative, got -2"
