@@ -3,8 +3,12 @@
 G is a finite abelian group: C2 for pairs, C3 for triples and C3 x C3
 for matrices, whose part ``3*s + r`` is row r of column s.  Parts add
 componentwise and multiply by the convolution over G,
-``out[k] = sum of x[i]*y[j] over i + j == k``, read from a small index
-table built once per shape (`convolution_table`).
+``out[k] = sum of x[i]*y[j] over i + j == k``.  Each shape builds a
+small index table once (`convolution_table`) and generates its product
+from it as straight-line code (`straight_line_product`): one function
+with an unrolled sum per int and no loop, so the table stays the only
+source of the formula.  The loop over the table that this replaced is
+kept in ``tests/test_cyclic_core.py`` as the reference.
 
 An element holds its n parts as one flat tuple of ints
 ``(p0, q0, p1, q1, ...)`` over one shared denominator ``d > 0``: part i
@@ -38,7 +42,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .scalars import ExactScalar, _int_sign, _normalised, as_scalar, power
 
@@ -61,18 +65,28 @@ def convolution_table(*orders: int) -> tuple:
     return tuple(map(tuple, table))
 
 
-def convolve(x: tuple, y: tuple, table: tuple) -> list:
-    """The flat ints of the product of the flat parts x and y (s^2 = 3)."""
-    out = []
+def straight_line_product(table: tuple, name: str) -> "Callable[[tuple, tuple], tuple]":
+    """The convolution over `table` as one generated function of two flat
+    int tuples: ``out[k] = sum of x[i]*y[j]`` with ``s^2 = 3``, one
+    unrolled sum per int and no loop, compiled under the filename
+    ``<signfree NAME product>``.
+    """
+    size = 2 * len(table)
+    terms = []
     for pairs in table:
-        p = r = q = 0
-        for i, j in pairs:
-            xp, xq, yp, yq = x[i], x[i + 1], y[j], y[j + 1]
-            p += xp * yp
-            r += xq * yq
-            q += xp * yq + xq * yp
-        out += (p + 3 * r, q)
-    return out
+        p = " + ".join(f"x{i}*y{j}" for i, j in pairs)
+        r = " + ".join(f"x{i + 1}*y{j + 1}" for i, j in pairs)
+        q = " + ".join(f"x{i}*y{j + 1} + x{i + 1}*y{j}" for i, j in pairs)
+        terms += (f"{p} + 3*({r})", q)
+    source = (
+        "def product(x, y):\n"
+        f"    {''.join(f'x{i}, ' for i in range(size))}= x\n"
+        f"    {''.join(f'y{i}, ' for i in range(size))}= y\n"
+        f"    return ({', '.join(terms)})\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<signfree {name} product>", "exec"), namespace)
+    return namespace["product"]
 
 
 def join(payloads: "list[tuple[tuple, int]]") -> "tuple[tuple, int]":
@@ -115,6 +129,8 @@ class CyclicElement:
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._TABLE = convolution_table(*cls._ORDERS)
+        name = "x".join(f"C{n}" for n in cls._ORDERS)
+        cls._product = staticmethod(straight_line_product(cls._TABLE, name))
         cls._SIZE = size = 2 * math.prod(cls._ORDERS)  # flat ints per element
         cls._RUN = run = 2 * cls._ORDERS[-1]  # flat ints per run
         # (i, j): flat int i and the same int (p or q) of its run's first part
@@ -171,7 +187,7 @@ class CyclicElement:
 
     def _times(self, other: object) -> "CyclicElement":
         if isinstance(other, type(self)):
-            return self._make(convolve(self._num, other._num, self._TABLE), self._den * other._den)
+            return self._make(self._product(self._num, other._num), self._den * other._den)
         if isinstance(other, SCALAR_TYPES):
             (p, q), d = checked_payload((other,), ("scale factor",))
             num = self._num

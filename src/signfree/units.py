@@ -7,7 +7,12 @@ the whole package computes over Q(sqrt 3).
 
 The three 8x8 tables (plus-one family, imaginary family, and the mixed
 products) are stored as data; :func:`verify_unit_table` recomputes every
-cell with exact matrix multiplication and compares classes exactly.
+cell with exact matrix multiplication and compares classes exactly, by
+their equality keys: each unit's key is taken once per table, each
+product's once, and a product is named by looking its key up in a
+key -> unit map in which the first listed unit wins (two units may be
+equal in a substituted set).  :func:`match_unit` builds that map from
+the units it is given on every call, so it never reads a stale copy.
 """
 
 from __future__ import annotations
@@ -130,12 +135,27 @@ def unit_value(unit: "UnitName | str") -> CyclicMatrix:
     return UNIT_VALUES[unit]
 
 
+def _unit_keys(
+    units: "Mapping[UnitName, CyclicMatrix]",
+) -> "tuple[dict[UnitName, tuple], dict[tuple, UnitName]]":
+    """Each unit's equality key, and the unit named by each key: the first
+    listed unit with that key, as equal units share one."""
+    keys = {name: value._key() for name, value in units.items()}
+    names: dict[tuple, UnitName] = {}
+    for name, key in keys.items():
+        names.setdefault(key, name)
+    return keys, names
+
+
 def match_unit(
-    matrix: CyclicMatrix, units: "Mapping[UnitName, CyclicMatrix] | None" = None
+    matrix: object, units: "Mapping[UnitName, CyclicMatrix] | None" = None
 ) -> "UnitName | None":
-    """The unit a matrix is equivalent to, if any."""
-    table = UNIT_VALUES if units is None else units
-    return next((name for name, value in table.items() if value == matrix), None)
+    """The first listed unit a matrix is equivalent to, if any; None for
+    anything that is not a `CyclicMatrix`."""
+    if not isinstance(matrix, CyclicMatrix):
+        return None
+    _, names = _unit_keys(UNIT_VALUES if units is None else units)
+    return names.get(matrix._key())
 
 
 @dataclass(frozen=True)
@@ -254,13 +274,14 @@ def verify_unit_table(
     if which not in TABLES:
         raise ValueError(f"unknown table {which!r}; expected one of {TABLE_IDS}")
     table = TABLES[which]
-    values = dict(UNIT_VALUES if units is None else units)
+    values = UNIT_VALUES if units is None else units
+    keys, names = _unit_keys(values)
     cells: list[CellCheck] = []
     for row in table.row_units:
         for col in table.col_units:
             expected = table.expected(row, col)
             computed = values[row] * values[col]
-            passed = computed == values[expected]
+            key = computed._key()
             cells.append(
                 CellCheck(
                     table=which,
@@ -268,8 +289,8 @@ def verify_unit_table(
                     col=col,
                     expected=expected,
                     computed=computed,
-                    computed_name=match_unit(computed, values),
-                    passed=passed,
+                    computed_name=names.get(key),
+                    passed=key == keys[expected],
                 )
             )
     return TableReport(which, cells)

@@ -7,6 +7,9 @@ top bit), on plain tuples of ExactScalar, with a matrix as three triple
 columns.  The core holds ints over one shared denominator instead.
 Raw, unreduced results must print identically, since printed output
 includes raw components, and the float views must agree bit for bit.
+Further down, the loop `convolve` over an index table is the reference
+for the core's generated straight-line product, and the old per-entry
+construction path the reference for its checked construction.
 """
 
 import math
@@ -539,3 +542,100 @@ def test_construction_matches_old_path(name):
             assert (value._num, value._den) == payload, where
             assert str(value) == show(parts), where
             assert repr(value) == ref_repr(name, parts), where
+
+
+# The product the generated straight-line code replaced: one loop over an
+# index table.  The reference table is built here from the group law on
+# its own, so a wrong `convolution_table` fails as well as a wrong
+# generator.
+
+
+def convolve(x, y, table):
+    """The flat ints of the product of the flat parts x and y (s^2 = 3)."""
+    out = []
+    for pairs in table:
+        p = r = q = 0
+        for i, j in pairs:
+            xp, xq, yp, yq = x[i], x[i + 1], y[j], y[j + 1]
+            p += xp * yp
+            r += xq * yq
+            q += xp * yq + xq * yp
+        out += (p + 3 * r, q)
+    return out
+
+
+def ref_table(orders):
+    """For each part k of C_orders[0] x ..., the flat offsets (2*i, 2*j) of
+    the parts with i + j == k; part numbers are mixed-radix digits, the
+    last order fastest."""
+    size = math.prod(orders)
+
+    def plus(i, j):
+        k, place = 0, 1
+        for n in reversed(orders):
+            k += (i // place + j // place) % n * place
+            place *= n
+        return k
+
+    return [[(2 * i, 2 * j) for i in range(size) for j in range(size) if plus(i, j) == k] for k in range(size)]
+
+
+PRODUCT_SHAPES = {"pair": (UnsignedPair, (2,)), "triple": (CyclicTriple, (3,)), "matrix": (CyclicMatrix, (3, 3))}
+PRODUCT_CASES = 300
+# units with sqrt3 entries, whose powers keep growing ints before reduction
+ROOTED_UNITS = [UnitName.I, UnitName.JJ, UnitName.NKK, UnitName.LL]
+
+
+def rooted_parts(rng, name):
+    """Parts that all have a sqrt3 part, so that powers grow in both ints."""
+    pool = [
+        ExactScalar(Fraction(rng.randint(2, 9), rng.randint(1, 4)), Fraction(1, rng.randint(1, 9)))
+        for _ in range(4)
+    ]
+    return draw_parts(rng, name, pool)
+
+
+def product_operands(name):
+    """PRODUCT_CASES (label, x, y) elements: zeros, mixed denominators,
+    units, large sqrt3 powers, then seeded random operands."""
+    cls, orders = PRODUCT_SHAPES[name]
+    build = SYSTEMS[name][0]
+    rng = random.Random(f"product:{name}")
+    size = math.prod(orders)
+    # the group elements (one part 1) and -1 are units of every shape
+    units = [cls._make([int(k == 2 * part) for k in range(2 * size)], 1) for part in range(size)]
+    units.append(cls.from_signed(-1))
+    if name == "matrix":
+        units += UNIT_VALUES.values()
+    cases = [("zero times zero", cls.zero(), cls.zero())]
+    cases += [(f"zero times mixed {i}", cls.zero(), build(draw_parts(rng, name, MIXED))) for i in range(4)]
+    for i in range(40):
+        cases.append((f"mixed {i}", build(draw_parts(rng, name, MIXED)), build(draw_parts(rng, name, MIXED))))
+    cases += [(f"unit {i}", u, rng.choice(units)) for i, u in enumerate(units)]
+    cases += [(f"unit {i} times mixed", u, build(draw_parts(rng, name, MIXED))) for i, u in enumerate(units)]
+    for i in range(8):
+        u, v = build(rooted_parts(rng, name)), rng.choice(units) * build(rooted_parts(rng, name))
+        cases += [(f"U^7 x U^9 {i}", u**7, u**9), (f"U^9 x V^7 {i}", u**9, v**7)]
+    if name == "matrix":
+        rooted = [UNIT_VALUES[u] for u in ROOTED_UNITS]
+        cases += [(f"unit power {i}", u**7, rooted[(i + 3) % len(rooted)] ** 9) for i, u in enumerate(rooted)]
+    while len(cases) < PRODUCT_CASES:
+        cases.append((f"random {len(cases)}", build(rand_parts(rng, name)), build(rand_parts(rng, name))))
+    return cases
+
+
+@pytest.mark.parametrize("name", PRODUCT_SHAPES)
+def test_generated_product_matches_loop(name):
+    cls, orders = PRODUCT_SHAPES[name]
+    table = ref_table(orders)
+    assert [list(pairs) for pairs in cls._TABLE] == table
+    cases = product_operands(name)
+    assert len(cases) == PRODUCT_CASES
+    for label, x, y in cases:
+        where = f"{name} {label}"
+        for a, b in ((x, y), (y, x)):
+            raw = convolve(a._num, b._num, table)
+            assert list(cls._product(a._num, b._num)) == raw, where
+            ref, got = cls._make(raw, a._den * b._den), a * b
+            assert (got._num, got._den) == (ref._num, ref._den), where
+            assert str(got) == str(ref) and repr(got) == repr(ref), where

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,19 @@ from signfree import (
     TABLES,
     UNIT_VALUES,
     CyclicMatrix,
+    CyclicTriple,
     ExactScalar,
+    RowSelector,
     UnitName,
+    UnsignedPair,
+    absolute_zero,
     find_square_roots,
     match_unit,
+    rotation_zero,
     unit_value,
     verify_unit_table,
 )
+from signfree.cli import run_tables
 
 
 def test_sixteen_units_exist_and_are_reduced():
@@ -103,6 +110,12 @@ def test_match_unit():
     assert match_unit(CyclicMatrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, 0]])) is None
 
 
+def test_match_unit_of_other_kinds_is_none():
+    for other in (CyclicTriple.one(), CyclicTriple(0, 1, 2), UnsignedPair(1, 0), 1, 0, ExactScalar(1), None):
+        assert match_unit(other) is None, other
+        assert match_unit(other, UNIT_VALUES) is None, other
+
+
 def test_eight_square_roots_of_nine():
     assert len(ROOTS_OF_NINE) == 8
     accepted = find_square_roots(NINE, ROOTS_OF_NINE)
@@ -146,3 +159,83 @@ def test_labels_roundtrip():
         assert UnitName.from_label(unit.label) is unit
     with pytest.raises(ValueError):
         UnitName.from_label("q")
+
+
+# The unit lookup the equality-key table replaced: a linear scan of the
+# unit map with `==`, naming the first listed unit that matches.
+
+
+def ref_match_unit(matrix, units=None):
+    table = UNIT_VALUES if units is None else units
+    return next((name for name, value in table.items() if value == matrix), None)
+
+
+def ref_cells(which, units):
+    """(row, col, expected, computed, passed, computed_name) of every cell."""
+    table = TABLES[which]
+    for i, row in enumerate(table.row_units):
+        for j, col in enumerate(table.col_units):
+            expected = table.cells[i][j]
+            computed = units[row] * units[col]
+            yield row, col, expected, computed, computed == units[expected], ref_match_unit(computed, units)
+
+
+def ref_machine_lines(units):
+    """The `tables --machine` records, from the reference cells."""
+    lines = []
+    for which in TABLE_IDS:
+        for row, col, expected, computed, passed, name in ref_cells(which, units):
+            shown = name.label if name else str(computed.reduce())
+            fields = (which, row.label, col.label, expected.label, shown, "pass" if passed else "fail")
+            lines.append("\t".join(fields) + "\n")
+    return "".join(lines)
+
+
+def unit_maps():
+    """(label, unit map): the stored units, seeded two-unit swaps, two equal
+    units, maps with a non-unit value and units in non-reduced form."""
+    yield "stored", dict(UNIT_VALUES)
+    rng = random.Random("unit-lookup")
+    names = list(UnitName)
+    for _ in range(12):
+        a, b = rng.sample(names, 2)
+        units = dict(UNIT_VALUES)
+        units[a], units[b] = units[b], units[a]
+        yield f"swap {a.label} {b.label}", units
+    units = dict(UNIT_VALUES)
+    units[UnitName.J] = UNIT_VALUES[UnitName.K]
+    yield "J as K", units
+    others = [
+        CyclicMatrix.zero(),
+        ExactScalar(2) * CyclicMatrix.one(),
+        rotation_zero(RowSelector.identity(), 1),
+        UNIT_VALUES[UnitName.J] + UNIT_VALUES[UnitName.K],
+    ]
+    for i, other in enumerate(others):
+        units = dict(UNIT_VALUES)
+        units[rng.choice(names)] = other
+        yield f"non-unit {i}", units
+    constants = [(Fraction(1, 5), Fraction(2, 7), 0), (ExactScalar(0, Fraction(1, 2)), 3, Fraction(1, 11))]
+    for i, (xi, zeta, eta) in enumerate(constants):
+        yield f"non-reduced {i}", {name: value + absolute_zero(xi, zeta, eta) for name, value in UNIT_VALUES.items()}
+    units = {name: ExactScalar(Fraction(1, 7)) * (ExactScalar(7) * value) for name, value in UNIT_VALUES.items()}
+    units[UnitName.NL] = UNIT_VALUES[UnitName.NL] + absolute_zero(Fraction(1, 13), 0, 1)
+    yield "non-reduced, mixed", units
+
+
+def test_unit_lookup_matches_linear_scan(capsys):
+    for label, units in unit_maps():
+        all_passed = True
+        for which in TABLE_IDS:
+            report = verify_unit_table(which, units)
+            for cell, (row, col, expected, computed, passed, name) in zip(report.cells, ref_cells(which, units)):
+                where = (label, which, row.label, col.label)
+                assert (cell.row, cell.col, cell.expected) == (row, col, expected), where
+                assert (cell.computed._num, cell.computed._den) == (computed._num, computed._den), where
+                assert cell.passed is passed, where
+                assert cell.computed_name is name, where
+                assert match_unit(computed, units) is name, where
+                assert match_unit(computed) is ref_match_unit(computed), where
+                all_passed = all_passed and passed
+        assert run_tables(machine=True, unit_values=units) == (0 if all_passed else 1), label
+        assert capsys.readouterr().out == ref_machine_lines(units), label
