@@ -20,7 +20,7 @@ import sys
 from typing import Mapping
 
 from . import expressions, units, verify
-from .matrices import CyclicMatrix, find_square_roots
+from .matrices import CyclicMatrix
 from .units import (
     IMAGINARY_FAMILY,
     NINE,
@@ -28,7 +28,6 @@ from .units import (
     ROOTS_OF_NINE,
     TABLE_IDS,
     UnitName,
-    match_unit,
     unit_value,
 )
 
@@ -47,6 +46,8 @@ def _eval_line(text: str) -> int:
         return _error(exc)
     except RecursionError:  # parsing and evaluation recurse once per level of nesting
         return _error("expression nested too deeply")
+    except OverflowError:  # a float view (norm, tocomplex, chars) of a value past float range
+        return _error("value too large for a float")
     try:
         shown = expressions.format_value(value)
     except ValueError:  # an int past the interpreter's int-to-str digit limit
@@ -180,13 +181,14 @@ def run_roots(machine: bool = False) -> int:
         for candidate, square, good in zip(ROOTS_OF_NINE, squares, confirmed):
             print(f"  {candidate} ^2 -> {square.reduce()}  {'ok' if good else 'FAIL'}")
 
-    all_units = [unit_value(u) for u in UnitName]
+    unit_squares = {unit: unit_value(unit) * unit_value(unit) for unit in UnitName}
     for family, target_name, tag in (
         (PLUS_FAMILY, UnitName.ONE, "roots-of-plus-one"),
         (IMAGINARY_FAMILY, UnitName.NEG1, "roots-of-minus-one"),
     ):
-        found = find_square_roots(unit_value(target_name), all_units)
-        found_names = {match_unit(matrix) for matrix in found}
+        target = unit_value(target_name)
+        # each root named by its own unit: the sixteen units are pairwise unequal
+        found_names = {unit for unit, square in unit_squares.items() if square == target}
         family_ok = found_names == set(family)
         ok = ok and family_ok
         if machine:

@@ -12,6 +12,7 @@ is the complex plane: ``(a, b, c)`` stands for ``a + b*w + c*w**2`` with
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from ._cyclic import CyclicElement, checked_payload
@@ -92,7 +93,18 @@ class CyclicTriple(CyclicElement):
         )
 
     def norm(self) -> float:
-        return math.sqrt(max(0.0, float(self.norm_sq())))
+        square = self.norm_sq()
+        try:
+            approx = float(square)
+        except OverflowError:
+            approx = math.inf
+        if sys.float_info.min <= approx < math.inf or not square:  # a normal float
+            return math.sqrt(max(0.0, approx))
+        # past the normal float range, though the root may fit: sqrt(square / 4**k) * 2**k
+        p, q, d = square._p, square._q, square._d
+        k = (max(p.bit_length(), q.bit_length() + 1) - d.bit_length()) // 2  # square / 4**k is near 1
+        scaled = _normalised(p, q, d << 2 * k) if k >= 0 else _normalised(p << -2 * k, q << -2 * k, d)
+        return math.ldexp(math.sqrt(float(scaled)), k)
 
     def conj(self) -> "CyclicTriple":
         """Swap b and c: the complex conjugate under the quotient."""

@@ -5,6 +5,10 @@ from the run seed plus the check name, so reports are reproducible) and
 counts failures.  Algebraic laws are asserted with exact arithmetic;
 only the complex-plane cross-checks carry a 1e-9 tolerance, since they
 go through floating point on purpose.
+
+Pairs, triples and matrices are one construction, a group algebra modulo
+constants, so each law they share (the ring laws, a homomorphism, the
+unit-family patterns) is written once and applied per system in `_CHECKS`.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as _iter_product
+from operator import add, eq, methodcaller, mul
 from typing import Callable
 
 from .matrices import (
@@ -31,7 +37,8 @@ __all__ = ["CheckResult", "CHECK_NAMES", "run_checks", "TOLERANCE"]
 TOLERANCE = 1e-9
 
 _SMALL_DENOMS = (1, 1, 1, 1, 2, 3, 4)
-_Draw = Callable[[random.Random], object]  # one random entry
+_Draw = Callable[[random.Random], object]  # one random entry or element
+_Check = Callable[[int, random.Random, "_Recorder"], None]
 
 
 def _rand_nonneg(rng: random.Random) -> Fraction:
@@ -54,12 +61,14 @@ def _rand_digit(rng: random.Random) -> int:
     return rng.randint(0, 9)
 
 
-def _rand_triple(rng: random.Random, entry: _Draw = _rand_nonneg) -> CyclicTriple:
-    return CyclicTriple(entry(rng), entry(rng), entry(rng))
+def _rand_triple(rng: random.Random) -> CyclicTriple:
+    return CyclicTriple(_rand_nonneg(rng), _rand_nonneg(rng), _rand_nonneg(rng))
 
 
 def _rand_matrix(rng: random.Random, entry: _Draw = _rand_nonneg) -> CyclicMatrix:
-    return CyclicMatrix(_rand_triple(rng, entry), _rand_triple(rng, entry), _rand_triple(rng, entry))
+    # drawn column A top to bottom, then B, then C
+    columns = [[entry(rng) for _ in range(3)] for _ in range(3)]
+    return CyclicMatrix.from_rows(zip(*columns))
 
 
 @dataclass
@@ -88,19 +97,50 @@ class _Recorder:
                 self.detail = describe()
 
 
-def _expect_ring_laws(rec: _Recorder, x: object, y: object, z: object) -> None:
-    """The commutative ring laws on one sample; the systems share them."""
-    rec.expect(x + y == y + x, lambda: f"add commutativity: {x}, {y}")
-    rec.expect((x + y) + z == x + (y + z), lambda: f"add associativity: {x}, {y}, {z}")
-    rec.expect(x * y == y * x, lambda: f"mul commutativity: {x}, {y}")
-    rec.expect((x * y) * z == x * (y * z), lambda: f"mul associativity: {x}, {y}, {z}")
-    rec.expect(x * (y + z) == x * y + x * z, lambda: f"distributivity: {x}, {y}, {z}")
+def _ring_laws(draw: _Draw, reducible: bool = False) -> _Check:
+    """The commutative ring laws on random x, y, z; a `reducible` system
+    (pairs and triples) is also checked for `reduce()` and closure."""
+
+    def check(n: int, rng: random.Random, rec: _Recorder) -> None:
+        for _ in range(n):
+            x, y, z = (draw(rng) for _ in range(3))
+            rec.expect(x + y == y + x, lambda: f"add commutativity: {x}, {y}")
+            rec.expect((x + y) + z == x + (y + z), lambda: f"add associativity: {x}, {y}, {z}")
+            rec.expect(x * y == y * x, lambda: f"mul commutativity: {x}, {y}")
+            rec.expect((x * y) * z == x * (y * z), lambda: f"mul associativity: {x}, {y}, {z}")
+            rec.expect(x * (y + z) == x * y + x * z, lambda: f"distributivity: {x}, {y}, {z}")
+            if not reducible:
+                continue
+            reduced = x.reduce()
+            rec.expect(reduced.reduce().components == reduced.components, lambda: f"reduce idempotence: {x}")
+            rec.expect(reduced.is_reduced and x == reduced, lambda: f"reduce equivalence: {x}")
+            rec.expect(all(part.sign() >= 0 for part in (x * y).components), lambda: f"closure: {x} * {y}")
+
+    return check
 
 
-def _check_scalar_field_laws(n: int, rng: random.Random, rec: _Recorder) -> None:
-    for _ in range(n):
-        x, y, z = (_rand_scalar(rng) for _ in range(3))
-        _expect_ring_laws(rec, x, y, z)
+def _homomorphism(draw: _Draw, image: Callable, same: Callable[..., bool], label: str = "") -> _Check:
+    """That `image` carries products and sums of random x, y to products
+    and sums, as told by `same`."""
+
+    def check(n: int, rng: random.Random, rec: _Recorder) -> None:
+        for _ in range(n):
+            x, y = draw(rng), draw(rng)
+            for op, law in ((mul, "mul"), (add, "add")):
+                rec.expect(
+                    same(image(op(x, y)), op(image(x), image(y))),
+                    lambda: f"{label}{law} homomorphism: {x}, {y}",
+                )
+
+    return check
+
+
+def _close(z: complex, w: complex) -> bool:
+    return abs(z - w) <= TOLERANCE
+
+
+def _same_components(x: CyclicTriple, y: CyclicTriple) -> bool:
+    return x.components == y.components  # exact componentwise, no quotient needed
 
 
 def _check_scalar_sign_and_reciprocal(n: int, rng: random.Random, rec: _Recorder) -> None:
@@ -115,47 +155,12 @@ def _check_scalar_sign_and_reciprocal(n: int, rng: random.Random, rec: _Recorder
             rec.expect(x * (1 / x) == 1, lambda: f"reciprocal: {x}")
 
 
-def _check_pair_ring_laws(n: int, rng: random.Random, rec: _Recorder) -> None:
-    for _ in range(n):
-        x, y, z = (_rand_pair(rng) for _ in range(3))
-        _expect_ring_laws(rec, x, y, z)
-        reduced = x.reduce()
-        rec.expect(reduced.reduce().components == reduced.components, lambda: f"reduce idempotence: {x}")
-        rec.expect(reduced.is_reduced and x == reduced, lambda: f"reduce equivalence: {x}")
-        product = x * y
-        rec.expect(
-            product.plus.sign() >= 0 and product.minus.sign() >= 0,
-            lambda: f"closure: {x} * {y}",
-        )
-
-
-def _check_pair_signed_homomorphism(n: int, rng: random.Random, rec: _Recorder) -> None:
-    for _ in range(n):
-        x, y = _rand_pair(rng), _rand_pair(rng)
-        rec.expect(
-            (x * y).to_signed() == x.to_signed() * y.to_signed(),
-            lambda: f"mul homomorphism: {x}, {y}",
-        )
-        rec.expect(
-            (x + y).to_signed() == x.to_signed() + y.to_signed(),
-            lambda: f"add homomorphism: {x}, {y}",
-        )
-
-
 def _check_pair_roundtrip(n: int, rng: random.Random, rec: _Recorder) -> None:
     for _ in range(n):
         value = ExactScalar(_rand_signed(rng))
         pair = UnsignedPair.from_signed(value)
         rec.expect(pair.is_reduced, lambda: f"from_signed reduced: {value}")
         rec.expect(pair.to_signed() == value, lambda: f"roundtrip: {value}")
-
-
-def _check_triple_ring_laws(n: int, rng: random.Random, rec: _Recorder) -> None:
-    for _ in range(n):
-        x, y, z = (_rand_triple(rng) for _ in range(3))
-        _expect_ring_laws(rec, x, y, z)
-        rec.expect(x.reduce().reduce().components == x.reduce().components, lambda: f"reduce idempotence: {x}")
-        rec.expect(x == x.reduce(), lambda: f"reduce equivalence: {x}")
 
 
 def _check_triple_well_defined(n: int, rng: random.Random, rec: _Recorder) -> None:
@@ -165,20 +170,6 @@ def _check_triple_well_defined(n: int, rng: random.Random, rec: _Recorder) -> No
         zero = CyclicTriple(shift, shift, shift)
         rec.expect(x + zero == x, lambda: f"constant triples are zeros: {x}, {zero}")
         rec.expect((x + zero) * y == x * y, lambda: f"well-definedness: {x}, {zero}, {y}")
-
-
-def _check_triple_complex_homomorphism(n: int, rng: random.Random, rec: _Recorder) -> None:
-    for _ in range(n):
-        x, y = _rand_triple(rng), _rand_triple(rng)
-        zx, zy = x.to_complex(), y.to_complex()
-        rec.expect(
-            abs((x * y).to_complex() - zx * zy) <= TOLERANCE,
-            lambda: f"mul homomorphism: {x}, {y}",
-        )
-        rec.expect(
-            abs((x + y).to_complex() - (zx + zy)) <= TOLERANCE,
-            lambda: f"add homomorphism: {x}, {y}",
-        )
 
 
 def _check_triple_norms(n: int, rng: random.Random, rec: _Recorder) -> None:
@@ -216,12 +207,6 @@ def _check_triple_complex_roundtrip(n: int, rng: random.Random, rec: _Recorder) 
         )
 
 
-def _check_matrix_ring_laws(n: int, rng: random.Random, rec: _Recorder) -> None:
-    for _ in range(n):
-        x, y, z = (_rand_matrix(rng) for _ in range(3))
-        _expect_ring_laws(rec, x, y, z)
-
-
 def _check_matrix_well_defined(n: int, rng: random.Random, rec: _Recorder) -> None:
     for _ in range(n):
         x, y = _rand_matrix(rng), _rand_matrix(rng)
@@ -229,22 +214,6 @@ def _check_matrix_well_defined(n: int, rng: random.Random, rec: _Recorder) -> No
         rec.expect(x + zero == x, lambda: f"absolute zeros are zeros: {x}")
         rec.expect((x + zero) * y == x * y, lambda: f"well-definedness: {x}, {y}")
         rec.expect(zero == CyclicMatrix.zero(), lambda: f"zero class: {zero}")
-
-
-def _check_matrix_rowsums_homomorphism(n: int, rng: random.Random, rec: _Recorder) -> None:
-    for _ in range(n):
-        x, y = _rand_matrix(rng), _rand_matrix(rng)
-        # exact componentwise, no quotient needed
-        rec.expect(
-            (x * y).row_sums().components
-            == (x.row_sums() * y.row_sums()).components,
-            lambda: f"row-sums mul homomorphism: {x}, {y}",
-        )
-        rec.expect(
-            (x + y).row_sums().components
-            == (x.row_sums() + y.row_sums()).components,
-            lambda: f"row-sums add homomorphism: {x}, {y}",
-        )
 
 
 def _check_matrix_norms(n: int, rng: random.Random, rec: _Recorder) -> None:
@@ -289,18 +258,12 @@ def _character_pattern(matrix: CyclicMatrix) -> "tuple[complex, ...] | None":
 
 
 def _check_character_oracle(n: int, rng: random.Random, rec: _Recorder) -> None:
-    sign_patterns = {_character_pattern(UNIT_VALUES[u]) for u in PLUS_FAMILY}
-    expected_signs = {(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)}
-    rec.expect(
-        sign_patterns == expected_signs,
-        lambda: f"plus-family patterns: {sorted(map(str, sign_patterns))}",
-    )
-    imag_patterns = {_character_pattern(UNIT_VALUES[u]) for u in IMAGINARY_FAMILY}
-    expected_imag = {(a, b, c) for a in (1j, -1j) for b in (1j, -1j) for c in (1j, -1j)}
-    rec.expect(
-        imag_patterns == expected_imag,
-        lambda: f"imaginary-family patterns: {sorted(map(str, imag_patterns))}",
-    )
+    for label, family, signs in (("plus", PLUS_FAMILY, (1, -1)), ("imaginary", IMAGINARY_FAMILY, (1j, -1j))):
+        patterns = {_character_pattern(UNIT_VALUES[u]) for u in family}
+        rec.expect(
+            patterns == set(_iter_product(signs, repeat=3)),
+            lambda: f"{label}-family patterns: {sorted(map(str, patterns))}",
+        )
     for _ in range(n):
         x = _rand_matrix(rng)
         variant = rng.randrange(4)
@@ -318,52 +281,46 @@ def _check_character_oracle(n: int, rng: random.Random, rec: _Recorder) -> None:
         )
 
 
-# name -> (function, sampling scale: base / matrix / per-zero)
-_CHECKS: tuple[tuple[str, Callable[[int, random.Random, _Recorder], None], str], ...] = (
-    ("scalar-field-laws", _check_scalar_field_laws, "base"),
-    ("scalar-sign-and-reciprocal", _check_scalar_sign_and_reciprocal, "base"),
-    ("pair-ring-laws", _check_pair_ring_laws, "base"),
-    ("pair-signed-homomorphism", _check_pair_signed_homomorphism, "base"),
-    ("pair-roundtrip", _check_pair_roundtrip, "base"),
-    ("triple-ring-laws", _check_triple_ring_laws, "base"),
-    ("triple-well-defined", _check_triple_well_defined, "base"),
-    ("triple-complex-homomorphism", _check_triple_complex_homomorphism, "base"),
-    ("triple-norms", _check_triple_norms, "base"),
-    ("triple-complex-roundtrip", _check_triple_complex_roundtrip, "base"),
-    ("matrix-ring-laws", _check_matrix_ring_laws, "matrix"),
-    ("matrix-well-defined", _check_matrix_well_defined, "matrix"),
-    ("matrix-rowsums-homomorphism", _check_matrix_rowsums_homomorphism, "matrix"),
-    ("matrix-norms", _check_matrix_norms, "matrix"),
-    ("rotation-zeros", _check_rotation_zeros, "zeros"),
-    ("character-oracle", _check_character_oracle, "matrix"),
+# name -> (check, divisor: the check runs max(1, samples // divisor) samples)
+_CHECKS: tuple[tuple[str, _Check, int], ...] = (
+    ("scalar-field-laws", _ring_laws(_rand_scalar), 1),
+    ("scalar-sign-and-reciprocal", _check_scalar_sign_and_reciprocal, 1),
+    ("pair-ring-laws", _ring_laws(_rand_pair, reducible=True), 1),
+    ("pair-signed-homomorphism", _homomorphism(_rand_pair, methodcaller("to_signed"), eq), 1),
+    ("pair-roundtrip", _check_pair_roundtrip, 1),
+    ("triple-ring-laws", _ring_laws(_rand_triple, reducible=True), 1),
+    ("triple-well-defined", _check_triple_well_defined, 1),
+    ("triple-complex-homomorphism", _homomorphism(_rand_triple, methodcaller("to_complex"), _close), 1),
+    ("triple-norms", _check_triple_norms, 1),
+    ("triple-complex-roundtrip", _check_triple_complex_roundtrip, 1),
+    ("matrix-ring-laws", _ring_laws(_rand_matrix), 2),
+    ("matrix-well-defined", _check_matrix_well_defined, 2),
+    (
+        "matrix-rowsums-homomorphism",
+        _homomorphism(_rand_matrix, methodcaller("row_sums"), _same_components, "row-sums "),
+        2,
+    ),
+    ("matrix-norms", _check_matrix_norms, 2),
+    ("rotation-zeros", _check_rotation_zeros, 10),
+    ("character-oracle", _check_character_oracle, 2),
 )
 
 CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 
 
-def run_checks(
-    samples: int = 1000,
-    seed: int = 42,
-    matrix_samples: "int | None" = None,
-    per_zero: "int | None" = None,
-) -> list[CheckResult]:
+def run_checks(samples: int = 1000, seed: int = 42) -> list[CheckResult]:
     """Run every check deterministically; identical inputs, identical reports.
 
-    `samples` drives the pair/triple/scalar checks; matrix-law checks
-    default to samples//2 and the rotation-zero check to samples//10
-    random matrices per zero (so --samples 1000 exercises 1000 / 500 /
-    100-per-zero cases).
+    `samples` drives the scalar, pair and triple checks; the ratios to
+    the rest are fixed: matrix checks run samples//2 and the rotation-zero
+    check samples//10 random matrices per zero, each at least one (so
+    --samples 1000 exercises 1000 / 500 / 100-per-zero cases).
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
-    if matrix_samples is None:
-        matrix_samples = max(1, samples // 2)
-    if per_zero is None:
-        per_zero = max(1, samples // 10)
-    scales = {"base": samples, "matrix": matrix_samples, "zeros": per_zero}
     results: list[CheckResult] = []
-    for name, check, scale in _CHECKS:
-        n = scales[scale]
+    for name, check, divisor in _CHECKS:
+        n = max(1, samples // divisor)
         rng = random.Random(f"{seed}:{name}")
         recorder = _Recorder()
         check(n, rng, recorder)

@@ -31,16 +31,12 @@ from signfree import (
 from signfree.cli import main as cli_main
 
 SAMPLES = 1000
-MATRIX_SAMPLES = 500
-PER_ZERO = 100
 SEED = 42
 
 
 @pytest.fixture(scope="module")
 def checks():
-    results = run_checks(
-        samples=SAMPLES, seed=SEED, matrix_samples=MATRIX_SAMPLES, per_zero=PER_ZERO
-    )
+    results = run_checks(samples=SAMPLES, seed=SEED)
     return {result.name: result for result in results}
 
 

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from signfree import UNIT_VALUES, UnitName, unit_value
-from signfree.cli import main, run_tables
+from signfree import UNIT_VALUES, CyclicMatrix, UnitName, unit_value
+from signfree.cli import main, run_roots, run_tables
 
 
 def test_eval_arguments(capsys):
@@ -60,6 +60,18 @@ def test_eval_reports_overlong_literal(monkeypatch, capsys, text, pos):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: number literal too long (at position {pos})\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["norm(t{10^400,0,0})", "tocomplex(t{10^400,0,0})", "chars(m{[10^400,0,0];[0,0,0];[0,0,0]})"],
+    ids=["norm", "tocomplex", "chars"],
+)
+def test_eval_reports_value_past_float_range(capsys, text):
+    assert main(["eval", text, "1+1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: value too large for a float\n"
+    assert captured.out == "2\n"
 
 
 def test_eval_after_double_dash(capsys):
@@ -140,6 +152,20 @@ def test_roots_machine(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 8 + 16 + 16
     assert all(line.endswith("pass") for line in lines)
+
+
+@pytest.mark.parametrize("machine", [False, True], ids=["text", "machine"])
+def test_roots_squares_each_unit_once(monkeypatch, capsys, machine):
+    products = []
+    product = CyclicMatrix._product
+
+    def counted(x, y):
+        products.append((x, y))
+        return product(x, y)
+
+    monkeypatch.setattr(CyclicMatrix, "_product", staticmethod(counted))
+    assert run_roots(machine=machine) == 0
+    assert len(products) == 8 + 16  # the roots of 9, then each unit once for both families
 
 
 def test_repl_quits_and_evaluates(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signfree import CyclicTriple, ExactScalar
+from signfree import CyclicMatrix, CyclicTriple, ExactScalar
 
 # independent oracle for the complex reading: a + b*w + c*w^2
 OMEGA = cmath.exp(2j * cmath.pi / 3)
@@ -103,6 +103,19 @@ def test_norm_examples():
     assert CyclicTriple(5, 4, 4).norm() == 1.0
     assert CyclicTriple(3, 0, 5).norm() == pytest.approx(math.sqrt(19), abs=1e-12)
     assert CyclicTriple(0, 0, 0).norm() == 0.0
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (CyclicTriple(2**600, 0, 0), 2.0**600),
+        (CyclicMatrix.from_rows([[10**200, 0, 0], [0, 0, 0], [0, 0, 0]]), 1e200),
+        (CyclicTriple(Fraction(1, 10**200), 0, 0), 1e-200),
+    ],
+    ids=["square-too-large", "matrix-square-too-large", "square-too-small"],
+)
+def test_norm_when_square_leaves_float_range(value, expected):
+    assert abs(value.norm() - expected) <= math.ulp(expected)
 
 
 @settings(max_examples=100, deadline=None)
