@@ -6,8 +6,15 @@ below.  Printed output is behaviour: which cells pass, which unit a
 product is named as, and every raw or reduced value shown.  With J given
 K's value, two units are equal, so the table records also pin that
 ``match_unit`` names the first unit listed that matches.
+
+``eval-corpus.txt`` holds one JSON string per line: inputs to
+``signfree eval`` over every grammar form and every expression error
+text.  Its expected stdout and stderr were written by the code as it
+stood before the tokenizer, literal reading and scalar printing moved
+to plain ints.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -44,3 +51,12 @@ def test_golden_output(capsys, name):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def test_eval_corpus_output(capsys):
+    text = (GOLDEN / "eval-corpus.txt").read_text(encoding="ascii")
+    inputs = [json.loads(line) for line in text.splitlines()]
+    assert main(["eval", "--", *inputs]) == 1  # the corpus holds error inputs
+    captured = capsys.readouterr()
+    assert captured.out.encode() == (GOLDEN / "eval-corpus-stdout.txt").read_bytes()
+    assert captured.err.encode() == (GOLDEN / "eval-corpus-stderr.txt").read_bytes()
