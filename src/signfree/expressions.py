@@ -33,11 +33,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from typing import NamedTuple
 
 from .matrices import CyclicMatrix
 from .pairs import UnsignedPair
-from .scalars import SQRT3, ExactScalar
+from .scalars import SQRT3, ExactScalar, _normalised
 from .triples import CyclicTriple
 from .units import UNIT_VALUES, UnitName
 
@@ -135,57 +135,52 @@ _UNIT_TOKENS = {member.name: member for member in UnitName}
 _LITERAL_PREFIXES = ("p", "t", "m")
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<sym>[-+*/^(){}\[\],;])"
+    r"(?P<ws>\s+)|(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+    r"|(?P<sym>[-+*/^(){}\[\],;])|(?P<bad>.)",
+    re.S,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num', 'name', or the symbol itself
+class _Token(NamedTuple):
+    kind: str  # 'num', 'name', 'end', or the symbol itself
     text: str
     pos: int
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ExpressionError(f"unexpected character {text[pos]!r}", pos)
-        if match.lastgroup == "num":
-            tokens.append(_Token("num", match.group(), pos))
-        elif match.lastgroup == "name":
-            tokens.append(_Token("name", match.group(), pos))
-        elif match.lastgroup == "sym":
-            tokens.append(_Token(match.group(), match.group(), pos))
-        pos = match.end()
+    """The tokens of `text`, then an 'end' token at ``len(text)``."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "ws":
+            continue
+        value = match.group()
+        if kind == "sym":
+            kind = value
+        elif kind == "bad":
+            raise ExpressionError(f"unexpected character {value!r}", match.start())
+        tokens.append(_Token(kind, value, match.start()))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
-def _literal(token: _Token, convert: type[int] | type[Fraction]) -> int | Fraction:
-    """A number token's value; the token matched the ``num`` pattern already."""
+def _integer(digits: str, pos: int) -> int:
+    """The value of a digit string from a number token at `pos`."""
     try:
-        return convert(token.text)
+        return int(digits)
     except ValueError:  # more digits than the interpreter's int-to-str limit
-        raise ExpressionError("number literal too long", token.pos) from None
+        raise ExpressionError("number literal too long", pos) from None
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
 
-    def _peek(self) -> "_Token | None":
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
     def _next(self, expected: str) -> _Token:
-        token = self._peek()
-        if token is None:
-            raise ExpressionError(f"expected {expected}, found end of input", len(self.text))
+        token = self.tokens[self.index]
+        if token.kind == "end":
+            raise ExpressionError(f"expected {expected}, found end of input", token.pos)
         self.index += 1
         return token
 
@@ -197,14 +192,14 @@ class _Parser:
 
     def parse(self) -> Expression:
         expr = self._expr()
-        leftover = self._peek()
-        if leftover is not None:
+        leftover = self.tokens[self.index]
+        if leftover.kind != "end":
             raise ExpressionError(f"unexpected {leftover.text!r}", leftover.pos)
         return expr
 
     def _expr(self) -> Expression:
         left = self._term()
-        while (token := self._peek()) is not None and token.kind in ("+", "-"):
+        while (token := self.tokens[self.index]).kind in ("+", "-"):
             self.index += 1
             right = self._term()
             left = BinOp(token.pos, token.kind, left, right)
@@ -212,26 +207,26 @@ class _Parser:
 
     def _term(self) -> Expression:
         left = self._factor()
-        while (token := self._peek()) is not None and token.kind == "*":
+        while (token := self.tokens[self.index]).kind == "*":
             self.index += 1
             right = self._factor()
             left = BinOp(token.pos, "*", left, right)
         return left
 
     def _factor(self) -> Expression:
-        token = self._peek()
-        if token is not None and token.kind == "-":
+        token = self.tokens[self.index]
+        if token.kind == "-":
             self.index += 1
             return Negate(token.pos, self._factor())
         base = self._primary()
-        if (token := self._peek()) is not None and token.kind == "^":
+        if self.tokens[self.index].kind == "^":
             self.index += 1
             exp_token = self._next("a nonnegative integer exponent")
             if exp_token.kind != "num" or "." in exp_token.text:
                 raise ExpressionError(
                     "exponent must be a nonnegative integer", exp_token.pos
                 )
-            base = Power(base.pos, base, _literal(exp_token, int))
+            base = Power(base.pos, base, _integer(exp_token.text, exp_token.pos))
         return base
 
     def _primary(self) -> Expression:
@@ -247,30 +242,35 @@ class _Parser:
         raise ExpressionError(f"unexpected {token.text!r}", token.pos)
 
     def _number(self, token: _Token) -> Expression:
-        follower = self._peek()
-        if follower is not None and follower.kind == "/":
-            if "." in token.text:
-                raise ExpressionError("fraction parts must be integers", token.pos)
+        text, pos = token.text, token.pos
+        if self.tokens[self.index].kind == "/":
+            if "." in text:
+                raise ExpressionError("fraction parts must be integers", pos)
             self.index += 1
             denom = self._next("an integer denominator")
             if denom.kind != "num":
                 raise ExpressionError("expected an integer denominator", denom.pos)
             if "." in denom.text:
                 raise ExpressionError("fraction parts must be integers", denom.pos)
-            denom_value = _literal(denom, int)
+            denom_value = _integer(denom.text, denom.pos)
             if denom_value == 0:
                 raise ExpressionError("zero denominator", denom.pos)
-            return ScalarConst(token.pos, ExactScalar(Fraction(_literal(token, int), denom_value)))
-        return ScalarConst(token.pos, ExactScalar(_literal(token, Fraction)))
+            return ScalarConst(pos, _normalised(_integer(text, pos), 0, denom_value))
+        whole, _, fraction = text.partition(".")
+        # the two sides are read apart, as Fraction(str) reads them, so the
+        # int-to-str digit limit applies to each side, not to their sum
+        scale = 10 ** len(fraction)
+        numerator = _integer(whole, pos) * scale + _integer(fraction or "0", pos)
+        return ScalarConst(pos, _normalised(numerator, 0, scale))
 
     def _name(self, token: _Token) -> Expression:
         lower = token.text.lower()
-        follower = self._peek()
+        follower = self.tokens[self.index].kind
         if lower == "sqrt3":
             return ScalarConst(token.pos, SQRT3)
-        if lower in _LITERAL_PREFIXES and follower is not None and follower.kind == "{":
+        if lower in _LITERAL_PREFIXES and follower == "{":
             return self._vector_literal(lower, token.pos)
-        if lower in _FUNCTION_KINDS and follower is not None and follower.kind == "(":
+        if lower in _FUNCTION_KINDS and follower == "(":
             self.index += 1
             arg = self._expr()
             self._expect(")")

@@ -26,6 +26,7 @@ they serve as an independent cross-check on the exact arithmetic.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import product as _iter_product
@@ -160,11 +161,14 @@ class CyclicMatrix(CyclicElement):
     def characters(self) -> tuple[complex, complex, complex]:
         """Three complex fingerprints, constant on equivalence classes."""
         pa, pb, pc = (col.to_complex() for col in self.columns)
-        return (
+        chars = (
             pa + pb + pc,
             pa + _OMEGA * pb + _OMEGA2 * pc,
             pa + _OMEGA2 * pb + _OMEGA * pc,
         )
+        if not all(map(cmath.isfinite, chars)):  # finite columns, a sum past float range
+            raise OverflowError("characters too large for a float")
+        return chars
 
     def __eq__(self, other: object) -> bool:
         return super().__eq__(other)  # an own entry, see signfree._cyclic

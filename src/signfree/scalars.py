@@ -11,9 +11,9 @@ for ``(p + q*sqrt(3)) / d``, with ``d > 0`` and ``gcd(p, q, d) == 1``.
 That form is unique, so equality compares three ints, and each sum,
 product or quotient is integer multiplies and adds plus one gcd.
 `Fraction`s are built only at the boundaries: the constructor accepts
-them (and ints and numeric strings), the `rat`/`root` properties,
-`str`/`repr` and the hash of a value with a sqrt(3) part return or use
-them.
+them (and ints and numeric strings), and the `rat`/`root` properties and
+the hash of a value with a sqrt(3) part return or use them.  `str` and
+`repr` print ``p/d`` and ``q/d`` with one gcd each.
 """
 
 from __future__ import annotations
@@ -206,20 +206,29 @@ class ExactScalar:
                 return math.ldexp(scaled, e)
             except OverflowError:  # near the largest float, where the plain sum is finite
                 pass
-        return p / d + q / d * _SQRT3_FLOAT
+        approx = p / d + q / d * _SQRT3_FLOAT  # p / d raises OverflowError past float range
+        if math.isinf(approx):  # q / d * sqrt3, or the sum, past float range
+            raise OverflowError("exact scalar too large for a float")
+        return approx
 
     def __str__(self) -> str:
-        rat, root = self.rat, self.root
-        if root == 0:
-            return str(rat)
-        root_part = f"{root}*sqrt3" if root > 0 else f"{-root}*sqrt3"
-        if rat == 0:
-            return root_part if root > 0 else f"-{root_part}"
-        joiner = "+" if root > 0 else "-"
-        return f"{rat}{joiner}{root_part}"
+        p, q, d = self._p, self._q, self._d
+        if q == 0:
+            return _ratio(p, d)
+        root_part = _ratio(abs(q), d) + "*sqrt3"
+        joiner = "+" if q > 0 else "-"
+        if p == 0:
+            return root_part if q > 0 else joiner + root_part
+        return _ratio(p, d) + joiner + root_part
 
     def __repr__(self) -> str:
-        return f"ExactScalar({self.rat}, {self.root})"
+        return f"ExactScalar({_ratio(self._p, self._d)}, {_ratio(self._q, self._d)})"
+
+
+def _ratio(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ``d > 0``, without building the Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _normalised(p: int, q: int, d: int) -> ExactScalar:

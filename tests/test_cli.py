@@ -64,8 +64,15 @@ def test_eval_reports_overlong_literal(monkeypatch, capsys, text, pos):
 
 @pytest.mark.parametrize(
     "text",
-    ["norm(t{10^400,0,0})", "tocomplex(t{10^400,0,0})", "chars(m{[10^400,0,0];[0,0,0];[0,0,0]})"],
-    ids=["norm", "tocomplex", "chars"],
+    [
+        "norm(t{10^400,0,0})",
+        "tocomplex(t{10^400,0,0})",
+        "chars(m{[10^400,0,0];[0,0,0];[0,0,0]})",
+        # each part in float range, the sqrt3 part or the character sums past it
+        "tocomplex(t{17*10^307,0,0}*sqrt3)",
+        "chars(m{[17*10^307,17*10^307,0];[0,0,0];[0,0,0]})",
+    ],
+    ids=["norm", "tocomplex", "chars", "tocomplex-sqrt3-part", "chars-column-sum"],
 )
 def test_eval_reports_value_past_float_range(capsys, text):
     assert main(["eval", text, "1+1"]) == 1

@@ -148,7 +148,10 @@ class RefScalar:
                 return math.ldexp(scaled, e)
             except OverflowError:
                 pass
-        return float(q) + float(r) * _SQRT3_FLOAT
+        approx = float(q) + float(r) * _SQRT3_FLOAT
+        if math.isinf(approx):  # since the float views raise past float range
+            raise OverflowError("exact scalar too large for a float")
+        return approx
 
     def __str__(self):
         if self._root == 0:
