@@ -26,6 +26,12 @@ and a doubled letter stands for the lowercase unit, so the names stay
 unambiguous under case folding.
 
 Functions: reduce, norm, normsq, conj, tocomplex, rowsums, chars.
+
+Each function and each literal system is one table entry that the
+parser, `kind_of` and `evaluate` all read.  Tokens are plain
+``(kind, text, position)`` tuples.  A flat operator chain such as
+``1+1+...+1`` is checked and evaluated in a loop, so only nesting
+(parentheses, unary '-', literals, calls) meets the recursion limit.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Any, Callable
 
 from .matrices import CyclicMatrix
 from .pairs import UnsignedPair
@@ -121,18 +127,29 @@ class Call(Expression):
 _VALUE_KINDS = (Kind.SCALAR, Kind.PAIR, Kind.TRIPLE, Kind.MATRIX)
 _BROADCAST_KINDS = (Kind.PAIR, Kind.TRIPLE, Kind.MATRIX)
 
-_FUNCTION_KINDS: dict[str, dict[Kind, Kind]] = {
-    "reduce": {Kind.PAIR: Kind.PAIR, Kind.TRIPLE: Kind.TRIPLE, Kind.MATRIX: Kind.MATRIX},
-    "norm": {Kind.TRIPLE: Kind.FLOAT, Kind.MATRIX: Kind.FLOAT},
-    "normsq": {Kind.TRIPLE: Kind.SCALAR, Kind.MATRIX: Kind.SCALAR},
-    "conj": {Kind.TRIPLE: Kind.TRIPLE},
-    "tocomplex": {Kind.TRIPLE: Kind.COMPLEX},
-    "rowsums": {Kind.MATRIX: Kind.TRIPLE},
-    "chars": {Kind.MATRIX: Kind.CHARS},
+# name -> (method name, {argument kind: result kind})
+_FUNCTIONS: dict[str, tuple[str, dict[Kind, Kind]]] = {
+    "reduce": ("reduce", {Kind.PAIR: Kind.PAIR, Kind.TRIPLE: Kind.TRIPLE, Kind.MATRIX: Kind.MATRIX}),
+    "norm": ("norm", {Kind.TRIPLE: Kind.FLOAT, Kind.MATRIX: Kind.FLOAT}),
+    "normsq": ("norm_sq", {Kind.TRIPLE: Kind.SCALAR, Kind.MATRIX: Kind.SCALAR}),
+    "conj": ("conj", {Kind.TRIPLE: Kind.TRIPLE}),
+    "tocomplex": ("to_complex", {Kind.TRIPLE: Kind.COMPLEX}),
+    "rowsums": ("row_sums", {Kind.MATRIX: Kind.TRIPLE}),
+    "chars": ("characters", {Kind.MATRIX: Kind.CHARS}),
+}
+
+# literal prefix -> (kind, layout with '_' for each item, constructor taking the items)
+_SYSTEMS = {
+    "p": (Kind.PAIR, "{_,_}", UnsignedPair),
+    "t": (Kind.TRIPLE, "{_,_,_}", CyclicTriple),
+    "m": (
+        Kind.MATRIX,
+        "{[_,_,_];[_,_,_];[_,_,_]}",
+        lambda *items: CyclicMatrix.from_rows([items[0:3], items[3:6], items[6:9]]),
+    ),
 }
 
 _UNIT_TOKENS = {member.name: member for member in UnitName}
-_LITERAL_PREFIXES = ("p", "t", "m")
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
@@ -141,14 +158,11 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token(NamedTuple):
-    kind: str  # 'num', 'name', 'end', or the symbol itself
-    text: str
-    pos: int
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token, then ("end", "", len(text)).
 
-
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of `text`, then an 'end' token at ``len(text)``."""
+    A kind is 'num', 'name' or the symbol itself.
+    """
     tokens = []
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
@@ -159,8 +173,8 @@ def _tokenize(text: str) -> list[_Token]:
             kind = value
         elif kind == "bad":
             raise ExpressionError(f"unexpected character {value!r}", match.start())
-        tokens.append(_Token(kind, value, match.start()))
-    tokens.append(_Token("end", "", len(text)))
+        tokens.append((kind, value, match.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -177,84 +191,78 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
 
-    def _next(self, expected: str) -> _Token:
+    def _next(self, expected: str) -> tuple[str, str, int]:
         token = self.tokens[self.index]
-        if token.kind == "end":
-            raise ExpressionError(f"expected {expected}, found end of input", token.pos)
+        if token[0] == "end":
+            raise ExpressionError(f"expected {expected}, found end of input", token[2])
         self.index += 1
         return token
 
-    def _expect(self, symbol: str) -> _Token:
-        token = self._next(f"'{symbol}'")
-        if token.kind != symbol:
-            raise ExpressionError(f"expected '{symbol}', found {token.text!r}", token.pos)
-        return token
+    def _expect(self, symbol: str) -> None:
+        kind, text, pos = self._next(f"'{symbol}'")
+        if kind != symbol:
+            raise ExpressionError(f"expected '{symbol}', found {text!r}", pos)
 
     def parse(self) -> Expression:
         expr = self._expr()
-        leftover = self.tokens[self.index]
-        if leftover.kind != "end":
-            raise ExpressionError(f"unexpected {leftover.text!r}", leftover.pos)
+        kind, text, pos = self.tokens[self.index]
+        if kind != "end":
+            raise ExpressionError(f"unexpected {text!r}", pos)
         return expr
 
     def _expr(self) -> Expression:
         left = self._term()
-        while (token := self.tokens[self.index]).kind in ("+", "-"):
+        while (token := self.tokens[self.index])[0] in ("+", "-"):
             self.index += 1
-            right = self._term()
-            left = BinOp(token.pos, token.kind, left, right)
+            left = BinOp(token[2], token[0], left, self._term())
         return left
 
     def _term(self) -> Expression:
         left = self._factor()
-        while (token := self.tokens[self.index]).kind == "*":
+        while (token := self.tokens[self.index])[0] == "*":
             self.index += 1
-            right = self._factor()
-            left = BinOp(token.pos, "*", left, right)
+            left = BinOp(token[2], "*", left, self._factor())
         return left
 
     def _factor(self) -> Expression:
-        token = self.tokens[self.index]
-        if token.kind == "-":
+        kind, _, pos = self.tokens[self.index]
+        if kind == "-":
             self.index += 1
-            return Negate(token.pos, self._factor())
+            return Negate(pos, self._factor())
         base = self._primary()
-        if self.tokens[self.index].kind == "^":
+        if self.tokens[self.index][0] == "^":
             self.index += 1
-            exp_token = self._next("a nonnegative integer exponent")
-            if exp_token.kind != "num" or "." in exp_token.text:
-                raise ExpressionError(
-                    "exponent must be a nonnegative integer", exp_token.pos
-                )
-            base = Power(base.pos, base, _integer(exp_token.text, exp_token.pos))
+            kind, text, pos = self._next("a nonnegative integer exponent")
+            if kind != "num" or "." in text:
+                raise ExpressionError("exponent must be a nonnegative integer", pos)
+            base = Power(base.pos, base, _integer(text, pos))
         return base
 
     def _primary(self) -> Expression:
-        token = self._next("an expression")
-        if token.kind == "num":
-            return self._number(token)
-        if token.kind == "name":
-            return self._name(token)
-        if token.kind == "(":
+        kind, text, pos = self._next("an expression")
+        if kind == "num":
+            return self._number(text, pos)
+        if kind == "name":
+            return self._name(text, pos)
+        if kind == "(":
             expr = self._expr()
             self._expect(")")
             return expr
-        raise ExpressionError(f"unexpected {token.text!r}", token.pos)
+        raise ExpressionError(f"unexpected {text!r}", pos)
 
-    def _number(self, token: _Token) -> Expression:
-        text, pos = token.text, token.pos
-        if self.tokens[self.index].kind == "/":
+    def _number(self, text: str, pos: int) -> Expression:
+        if self.tokens[self.index][0] == "/":
             if "." in text:
                 raise ExpressionError("fraction parts must be integers", pos)
             self.index += 1
-            denom = self._next("an integer denominator")
-            if denom.kind != "num":
-                raise ExpressionError("expected an integer denominator", denom.pos)
-            if "." in denom.text:
-                raise ExpressionError("fraction parts must be integers", denom.pos)
-            denom_value = _integer(denom.text, denom.pos)
+            kind, denom, denom_pos = self._next("an integer denominator")
+            if kind != "num":
+                raise ExpressionError("expected an integer denominator", denom_pos)
+            if "." in denom:
+                raise ExpressionError("fraction parts must be integers", denom_pos)
+            denom_value = _integer(denom, denom_pos)
             if denom_value == 0:
-                raise ExpressionError("zero denominator", denom.pos)
+                raise ExpressionError("zero denominator", denom_pos)
             return ScalarConst(pos, _normalised(_integer(text, pos), 0, denom_value))
         whole, _, fraction = text.partition(".")
         # the two sides are read apart, as Fraction(str) reads them, so the
@@ -263,51 +271,71 @@ class _Parser:
         numerator = _integer(whole, pos) * scale + _integer(fraction or "0", pos)
         return ScalarConst(pos, _normalised(numerator, 0, scale))
 
-    def _name(self, token: _Token) -> Expression:
-        lower = token.text.lower()
-        follower = self.tokens[self.index].kind
+    def _name(self, text: str, pos: int) -> Expression:
+        lower = text.lower()
+        follower = self.tokens[self.index][0]
         if lower == "sqrt3":
-            return ScalarConst(token.pos, SQRT3)
-        if lower in _LITERAL_PREFIXES and follower == "{":
-            return self._vector_literal(lower, token.pos)
-        if lower in _FUNCTION_KINDS and follower == "(":
+            return ScalarConst(pos, SQRT3)
+        if lower in _SYSTEMS and follower == "{":
+            return VectorLit(pos, lower, self._items(_SYSTEMS[lower][1]))
+        if lower in _FUNCTIONS and follower == "(":
             self.index += 1
             arg = self._expr()
             self._expect(")")
-            return Call(token.pos, lower, arg)
-        upper = token.text.upper()
+            return Call(pos, lower, arg)
+        upper = text.upper()
         if upper in _UNIT_TOKENS:
-            return UnitRef(token.pos, _UNIT_TOKENS[upper])
-        raise ExpressionError(f"unknown name {token.text!r}", token.pos)
+            return UnitRef(pos, _UNIT_TOKENS[upper])
+        raise ExpressionError(f"unknown name {text!r}", pos)
 
-    def _vector_literal(self, system: str, pos: int) -> Expression:
-        self._expect("{")
-        if system == "m":
-            items: list[Expression] = []
-            for row_index in range(3):
-                if row_index:
-                    self._expect(";")
-                self._expect("[")
-                for col_index in range(3):
-                    if col_index:
-                        self._expect(",")
-                    items.append(self._expr())
-                self._expect("]")
-            self._expect("}")
-            return VectorLit(pos, "m", tuple(items))
-        arity = 2 if system == "p" else 3
+    def _items(self, layout: str) -> tuple[Expression, ...]:
+        """The items of a literal written as `layout`, each '_' standing for one item."""
         items = []
-        for item_index in range(arity):
-            if item_index:
-                self._expect(",")
-            items.append(self._expr())
-        self._expect("}")
-        return VectorLit(pos, system, tuple(items))
+        for mark in layout:
+            if mark == "_":
+                items.append(self._expr())
+            else:
+                self._expect(mark)
+        return tuple(items)
 
 
 def parse(text: str) -> Expression:
     """Parse an expression; raises ExpressionError with a position."""
     return _Parser(text).parse()
+
+
+def _fold(expr: BinOp, walk: Callable, apply: Callable) -> Any:
+    """Walk ``a + b - c``, parsed as ``(a + b) - c``, and apply each operator in turn.
+
+    The order is a recursion's: `a`, then `b`, then '+', then `c`, then '-';
+    but a flat chain of any length takes no stack.
+    """
+    chain = []
+    while isinstance(expr, BinOp):
+        chain.append(expr)
+        expr = expr.left
+    result = walk(expr)
+    for binop in reversed(chain):
+        result = apply(binop, result, walk(binop.right))
+    return result
+
+
+def _binop_kind(expr: BinOp, left: Kind, right: Kind) -> Kind:
+    if expr.op == "-":
+        if left is Kind.SCALAR and right is Kind.SCALAR:
+            return Kind.SCALAR
+        raise ExpressionError(
+            "'-' is defined for scalars only; vector negatives are structural", expr.pos
+        )
+    if left == right and left in _VALUE_KINDS:
+        return left
+    if left is Kind.SCALAR and right in _BROADCAST_KINDS:
+        return right
+    if right is Kind.SCALAR and left in _BROADCAST_KINDS:
+        return left
+    raise ExpressionError(
+        f"cannot combine {left.value} and {right.value} with '{expr.op}'", expr.pos
+    )
 
 
 def kind_of(expr: Expression) -> Kind:
@@ -320,30 +348,13 @@ def kind_of(expr: Expression) -> Kind:
         for item in expr.items:
             if kind_of(item) is not Kind.SCALAR:
                 raise ExpressionError("vector components must be scalars", item.pos)
-        return {"p": Kind.PAIR, "t": Kind.TRIPLE, "m": Kind.MATRIX}[expr.system]
+        return _SYSTEMS[expr.system][0]
     if isinstance(expr, Negate):
         if kind_of(expr.operand) is not Kind.SCALAR:
             raise ExpressionError("negation is defined for scalars only", expr.pos)
         return Kind.SCALAR
     if isinstance(expr, BinOp):
-        left = kind_of(expr.left)
-        right = kind_of(expr.right)
-        if expr.op == "-":
-            if left is Kind.SCALAR and right is Kind.SCALAR:
-                return Kind.SCALAR
-            raise ExpressionError(
-                "'-' is defined for scalars only; vector negatives are structural",
-                expr.pos,
-            )
-        if left == right and left in _VALUE_KINDS:
-            return left
-        if left is Kind.SCALAR and right in _BROADCAST_KINDS:
-            return right
-        if right is Kind.SCALAR and left in _BROADCAST_KINDS:
-            return left
-        raise ExpressionError(
-            f"cannot combine {left.value} and {right.value} with '{expr.op}'", expr.pos
-        )
+        return _fold(expr, kind_of, _binop_kind)
     if isinstance(expr, Power):
         base = kind_of(expr.base)
         if base in _VALUE_KINDS:
@@ -351,22 +362,23 @@ def kind_of(expr: Expression) -> Kind:
         raise ExpressionError(f"cannot raise a {base.value} to a power", expr.pos)
     if isinstance(expr, Call):
         arg = kind_of(expr.arg)
-        result = _FUNCTION_KINDS[expr.func].get(arg)
+        result = _FUNCTIONS[expr.func][1].get(arg)
         if result is None:
             raise ExpressionError(f"{expr.func}() is not defined for {arg.value} values", expr.pos)
         return result
     raise ExpressionError("unsupported expression", expr.pos)
 
 
-_CALL_IMPLS = {
-    "reduce": lambda value: value.reduce(),
-    "norm": lambda value: value.norm(),
-    "normsq": lambda value: value.norm_sq(),
-    "conj": lambda value: value.conj(),
-    "tocomplex": lambda value: value.to_complex(),
-    "rowsums": lambda value: value.row_sums(),
-    "chars": lambda value: value.characters(),
-}
+def _binop_value(expr: BinOp, left: object, right: object) -> object:
+    if expr.op == "+":
+        if isinstance(left, ExactScalar) and not isinstance(right, ExactScalar):
+            left = type(right).from_signed(left)
+        elif isinstance(right, ExactScalar) and not isinstance(left, ExactScalar):
+            right = type(left).from_signed(right)
+        return left + right
+    if expr.op == "-":
+        return left - right
+    return left * right
 
 
 def evaluate(expr: Expression) -> object:
@@ -380,30 +392,15 @@ def evaluate(expr: Expression) -> object:
     if isinstance(expr, UnitRef):
         return UNIT_VALUES[expr.unit]
     if isinstance(expr, VectorLit):
-        values = [evaluate(item) for item in expr.items]
-        if expr.system == "p":
-            return UnsignedPair(*values)
-        if expr.system == "t":
-            return CyclicTriple(*values)
-        return CyclicMatrix.from_rows([values[0:3], values[3:6], values[6:9]])
+        return _SYSTEMS[expr.system][2](*[evaluate(item) for item in expr.items])
     if isinstance(expr, Negate):
         return -evaluate(expr.operand)
     if isinstance(expr, BinOp):
-        left = evaluate(expr.left)
-        right = evaluate(expr.right)
-        if expr.op == "+":
-            if isinstance(left, ExactScalar) and not isinstance(right, ExactScalar):
-                left = type(right).from_signed(left)
-            elif isinstance(right, ExactScalar) and not isinstance(left, ExactScalar):
-                right = type(left).from_signed(right)
-            return left + right
-        if expr.op == "-":
-            return left - right
-        return left * right
+        return _fold(expr, evaluate, _binop_value)
     if isinstance(expr, Power):
         return evaluate(expr.base) ** expr.exponent
     if isinstance(expr, Call):
-        return _CALL_IMPLS[expr.func](evaluate(expr.arg))
+        return getattr(evaluate(expr.arg), _FUNCTIONS[expr.func][0])()
     raise ExpressionError("unsupported expression", expr.pos)
 
 

@@ -12,7 +12,6 @@ is the complex plane: ``(a, b, c)`` stands for ``a + b*w + c*w**2`` with
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
 from ._cyclic import CyclicElement, checked_payload
@@ -94,13 +93,10 @@ class CyclicTriple(CyclicElement):
 
     def norm(self) -> float:
         square = self.norm_sq()
-        try:
-            approx = float(square)
-        except OverflowError:
-            approx = math.inf
-        if sys.float_info.min <= approx < math.inf or not square:  # a normal float
-            return math.sqrt(max(0.0, approx))
-        # past the normal float range, though the root may fit: sqrt(square / 4**k) * 2**k
+        if not square:
+            return 0.0
+        # sqrt(square / 4**k) * 2**k, exact in the scaling, so a root in float
+        # range is found even where the square is past it
         p, q, d = square._p, square._q, square._d
         k = (max(p.bit_length(), q.bit_length() + 1) - d.bit_length()) // 2  # square / 4**k is near 1
         scaled = _normalised(p, q, d << 2 * k) if k >= 0 else _normalised(p << -2 * k, q << -2 * k, d)

@@ -1,11 +1,14 @@
 import io
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from signfree import UNIT_VALUES, CyclicMatrix, UnitName, unit_value
 from signfree.cli import main, run_roots, run_tables
+from signfree.expressions import eval_text, format_value
 
 
 def test_eval_arguments(capsys):
@@ -89,8 +92,8 @@ def test_eval_after_double_dash(capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["(" * 2000 + "1" + ")" * 2000, "-" * 3000 + "1", "1+" * 3000 + "1"],
-    ids=["nested-parentheses", "repeated-minus", "long-sum"],
+    ["(" * 2000 + "1" + ")" * 2000, "-" * 3000 + "1"],
+    ids=["nested-parentheses", "repeated-minus"],
 )
 def test_eval_reports_deep_input(monkeypatch, capsys, text):
     # read from stdin: as an argument, a leading '-' is taken for an option
@@ -99,6 +102,49 @@ def test_eval_reports_deep_input(monkeypatch, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: expression nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1+" * 3000 + "1", "3001"),
+        ("1*" * 3000 + "1", "1"),
+        ("1-" * 3000 + "1", "-2999"),
+        ("*".join(["t{1,1,0}"] * 2000), format_value(eval_text("t{1,1,0}^2000"))),
+    ],
+    ids=["long-sum", "long-product", "long-difference", "long-triple-product"],
+)
+def test_eval_long_flat_chain(monkeypatch, capsys, text, expected):
+    # a flat chain of 2,000 or more operators is folded in a loop, not refused as deep
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text + "\n"))
+    assert main(["eval"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == expected + "\n"
+
+
+def _readme_eval_examples():
+    """(command, expected output) for each `signfree eval ... # -> X` line of the README."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, shown = line.partition("# -> ")
+        if "signfree eval" in command and shown:
+            examples.append((command.strip(), shown.split()[0]))
+    return examples
+
+
+def test_readme_eval_examples(monkeypatch, capsys):
+    examples = _readme_eval_examples()
+    assert len(examples) == 5
+    for command, expected in examples:
+        words = shlex.split(command)
+        if words[0] == "echo":  # echo "TEXT" | signfree eval
+            monkeypatch.setattr(sys, "stdin", io.StringIO(words[1] + "\n"))
+            words = words[words.index("signfree") :]
+        assert main(words[1:]) == 0, command
+        assert capsys.readouterr().out == expected + "\n", command
 
 
 def test_tables_pass(capsys):

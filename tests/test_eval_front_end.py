@@ -28,8 +28,8 @@ from signfree.expressions import (
     ScalarConst,
     UnitRef,
     VectorLit,
-    _FUNCTION_KINDS,
-    _LITERAL_PREFIXES,
+    _FUNCTIONS as _FUNCTION_TABLE,
+    _SYSTEMS,
     _UNIT_TOKENS,
     _tokenize,
     parse,
@@ -166,9 +166,9 @@ class _RefParser:
         follower = self._peek()
         if lower == "sqrt3":
             return ScalarConst(token.pos, SQRT3)
-        if lower in _LITERAL_PREFIXES and follower is not None and follower.kind == "{":
+        if lower in _SYSTEMS and follower is not None and follower.kind == "{":
             return self._vector_literal(lower, token.pos)
-        if lower in _FUNCTION_KINDS and follower is not None and follower.kind == "(":
+        if lower in _FUNCTION_TABLE and follower is not None and follower.kind == "(":
             self.index += 1
             arg = self._expr()
             self._expect(")")
@@ -332,17 +332,13 @@ def _outcome(fn, text):
         return ("error", exc.message, exc.pos)
 
 
-def _new_tokens(text):
-    return [(token.kind, token.text, token.pos) for token in _tokenize(text)]
-
-
 def _ref_tokens(text):
     tokens = [(token.kind, token.text, token.pos) for token in _ref_tokenize(text)]
     return tokens + [("end", "", len(text))]
 
 
 def _same_front_end(text):
-    assert _outcome(_new_tokens, text) == _outcome(_ref_tokens, text), repr(text)
+    assert _outcome(_tokenize, text) == _outcome(_ref_tokens, text), repr(text)
     assert _outcome(parse, text) == _outcome(lambda t: _RefParser(t).parse(), text), repr(text)
 
 

@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signfree import CyclicMatrix, CyclicTriple, ExactScalar
+from signfree.scalars import _normalised
 
 # independent oracle for the complex reading: a + b*w + c*w^2
 OMEGA = cmath.exp(2j * cmath.pi / 3)
@@ -116,6 +119,68 @@ def test_norm_examples():
 )
 def test_norm_when_square_leaves_float_range(value, expected):
     assert abs(value.norm() - expected) <= math.ulp(expected)
+
+
+def _two_branch_norm(triple):
+    """The norm as computed before it took one path: a float root in the normal range."""
+    square = triple.norm_sq()
+    try:
+        approx = float(square)
+    except OverflowError:
+        approx = math.inf
+    if sys.float_info.min <= approx < math.inf or not square:
+        return math.sqrt(max(0.0, approx))
+    p, q, d = square._p, square._q, square._d
+    k = (max(p.bit_length(), q.bit_length() + 1) - d.bit_length()) // 2
+    scaled = _normalised(p, q, d << 2 * k) if k >= 0 else _normalised(p << -2 * k, q << -2 * k, d)
+    return math.ldexp(math.sqrt(float(scaled)), k)
+
+
+def _norm_outcome(norm, triple):
+    try:
+        return norm(triple).hex()
+    except OverflowError as exc:
+        return str(exc)
+
+
+def _wide_triple(rng):
+    """A triple of parts with up to 400 digits over up to 320 digits, some of them zero.
+
+    The parts are near 10**scale, with the scale uniform from -320 to 400.
+    """
+    scale = rng.randint(-320, 400)
+    top, bottom = max(scale, 0), max(-scale, 0)
+    extra = rng.randint(0, min(400 - top, 320 - bottom))  # digits in both
+    top, bottom = top + extra, bottom + extra
+
+    def part():
+        if rng.random() < 0.15:
+            return 0
+        return Fraction(rng.randint(1, 10**top), rng.randint(1, 10**bottom))
+
+    return CyclicTriple(*(ExactScalar(part(), part()) for _ in range(3)))
+
+
+def test_norm_matches_two_branch_reference():
+    rng = random.Random(17)
+    triples = [
+        CyclicTriple(2**600, 0, 0),
+        CyclicTriple(Fraction(1, 10**200), 0, 0),
+        CyclicTriple(10**400, 0, 0),
+        CyclicTriple(5, 4, 4),
+        CyclicTriple(7, 7, 7),
+    ]
+    triples += [_wide_triple(rng) for _ in range(1000)]
+    outcomes = [_norm_outcome(CyclicTriple.norm, triple) for triple in triples]
+    assert outcomes == [_norm_outcome(_two_branch_norm, triple) for triple in triples]
+    fixed = [(2.0**600).hex(), (1e-200).hex(), "math range error", (1.0).hex(), (0.0).hex()]
+    assert outcomes[:5] == fixed
+    # squares in the normal float range, past both of its ends, and roots past it are all reached
+    norms = [float.fromhex(outcome) for outcome in outcomes if outcome.startswith("0x")]
+    assert sum(1e-150 < norm < 1e150 for norm in norms) > 300
+    assert sum(norm > 1e160 for norm in norms) > 150
+    assert sum(0 < norm < 1e-160 for norm in norms) > 150
+    assert outcomes.count("math range error") > 80
 
 
 @settings(max_examples=100, deadline=None)
