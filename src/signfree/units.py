@@ -5,14 +5,18 @@ L, -L) and eight square to the class of -1 (labels i, -i, j, -j, k, -k,
 l, -l).  Their entries need 1/3, sqrt(3)/3 and sqrt(3)/9, which is why
 the whole package computes over Q(sqrt 3).
 
-The three 8x8 tables (plus-one family, imaginary family, and the mixed
-products) are stored as data; :func:`verify_unit_table` recomputes every
-cell with exact matrix multiplication and compares classes exactly, by
-their equality keys: each unit's key is taken once per table, each
-product's once, and a product is named by looking its key up in a
-key -> unit map in which the first listed unit wins (two units may be
-equal in a substituted set).  :func:`match_unit` builds that map from
-the units it is given on every call, so it never reads a stale copy.
+Only the sixteen unit matrices and the plus-one table are data.  The
+imaginary family is i times the plus-one family, so the imaginary table
+is the plus-one table relabelled U -> -U ((iU)(iV) = -UV), the mixed
+table is it relabelled U -> iU (U(iV) = i*UV), and the root families
+are the units scaled by 3 and 3*sqrt(3).  :func:`verify_unit_table`
+recomputes every cell with exact matrix multiplication and compares
+classes exactly, by their equality keys: each unit's key is taken once
+per table, each product's once, and a product is named by looking its
+key up in a key -> unit map in which the first listed unit wins (two
+units may be equal in a substituted set).  :func:`match_unit` builds
+that map from the units it is given on every call, so it never reads a
+stale copy.
 """
 
 from __future__ import annotations
@@ -77,26 +81,9 @@ class UnitName(Enum):
         raise ValueError(f"unknown unit label {label!r}")
 
 
-PLUS_FAMILY = (
-    UnitName.ONE,
-    UnitName.NEG1,
-    UnitName.J,
-    UnitName.NJ,
-    UnitName.K,
-    UnitName.NK,
-    UnitName.L,
-    UnitName.NL,
-)
-IMAGINARY_FAMILY = (
-    UnitName.I,
-    UnitName.NI,
-    UnitName.JJ,
-    UnitName.NJJ,
-    UnitName.KK,
-    UnitName.NKK,
-    UnitName.LL,
-    UnitName.NLL,
-)
+# the enum lists the plus-one family first, then i times each of its members
+PLUS_FAMILY = tuple(UnitName)[:8]
+IMAGINARY_FAMILY = tuple(UnitName)[8:]
 
 _ONE_SCALE = ExactScalar(1)
 _THIRD = ExactScalar(Fraction(1, 3))
@@ -171,62 +158,40 @@ class Table:
         return self.cells[self.row_units.index(row)][self.col_units.index(col)]
 
 
-def _grid(rows: list[str]) -> tuple[tuple[UnitName, ...], ...]:
-    return tuple(tuple(UnitName.from_label(label) for label in row.split()) for row in rows)
+# the plus-one table: row U, column V holds UV
+_PLUS_GRID = tuple(
+    tuple(UnitName.from_label(label) for label in row.split())
+    for row in (
+        "1 -1 J -J K -K L -L",
+        "-1 1 -J J -K K -L L",
+        "J -J 1 -1 -L L -K K",
+        "-J J -1 1 L -L K -K",
+        "K -K -L L 1 -1 -J J",
+        "-K K L -L -1 1 J -J",
+        "L -L -K K -J J 1 -1",
+        "-L L K -K J -J -1 1",
+    )
+)
 
+
+def _relabel(image: "Mapping[UnitName, UnitName]") -> "tuple[tuple[UnitName, ...], ...]":
+    """The plus-one grid with each cell U replaced by image[U]."""
+    return tuple(tuple(image[unit] for unit in row) for row in _PLUS_GRID)
+
+
+# each family alternates U, -U, and IMAGINARY_FAMILY[k] is i * PLUS_FAMILY[k]
+_NEGATIVE = {unit: PLUS_FAMILY[k ^ 1] for k, unit in enumerate(PLUS_FAMILY)}
+_TIMES_I = dict(zip(PLUS_FAMILY, IMAGINARY_FAMILY))
 
 TABLES: dict[str, Table] = {
-    "plus-one-table": Table(
-        "plus-one-table",
-        PLUS_FAMILY,
-        PLUS_FAMILY,
-        _grid(
-            [
-                "1 -1 J -J K -K L -L",
-                "-1 1 -J J -K K -L L",
-                "J -J 1 -1 -L L -K K",
-                "-J J -1 1 L -L K -K",
-                "K -K -L L 1 -1 -J J",
-                "-K K L -L -1 1 J -J",
-                "L -L -K K -J J 1 -1",
-                "-L L K -K J -J -1 1",
-            ]
-        ),
-    ),
-    "imaginary-table": Table(
-        "imaginary-table",
-        IMAGINARY_FAMILY,
-        IMAGINARY_FAMILY,
-        _grid(
-            [
-                "-1 1 -J J -K K -L L",
-                "1 -1 J -J K -K L -L",
-                "-J J -1 1 L -L K -K",
-                "J -J 1 -1 -L L -K K",
-                "-K K L -L -1 1 J -J",
-                "K -K -L L 1 -1 -J J",
-                "-L L K -K J -J -1 1",
-                "L -L -K K -J J 1 -1",
-            ]
-        ),
-    ),
-    "mixed-table": Table(
-        "mixed-table",
-        PLUS_FAMILY,
-        IMAGINARY_FAMILY,
-        _grid(
-            [
-                "i -i j -j k -k l -l",
-                "-i i -j j -k k -l l",
-                "j -j i -i -l l -k k",
-                "-j j -i i l -l k -k",
-                "k -k -l l i -i -j j",
-                "-k k l -l -i i j -j",
-                "l -l -k k -j j i -i",
-                "-l l k -k j -j -i i",
-            ]
-        ),
-    ),
+    table.name: table
+    for table in (
+        Table("plus-one-table", PLUS_FAMILY, PLUS_FAMILY, _PLUS_GRID),
+        # (iU)(iV) = -UV
+        Table("imaginary-table", IMAGINARY_FAMILY, IMAGINARY_FAMILY, _relabel(_NEGATIVE)),
+        # U(iV) = i*UV
+        Table("mixed-table", PLUS_FAMILY, IMAGINARY_FAMILY, _relabel(_TIMES_I)),
+    )
 }
 
 TABLE_IDS = tuple(TABLES)
@@ -296,36 +261,12 @@ def verify_unit_table(
     return TableReport(which, cells)
 
 
-# The eight integer matrices whose squares are all equivalent to 9
-# (they are 3x the plus-one family).
-ROOTS_OF_NINE: tuple[CyclicMatrix, ...] = tuple(
-    CyclicMatrix.from_rows(rows)
-    for rows in (
-        ((3, 0, 0), (0, 0, 0), (0, 0, 0)),
-        ((0, 0, 0), (3, 0, 0), (3, 0, 0)),
-        ((1, 2, 2), (0, 2, 0), (0, 0, 2)),
-        ((0, 0, 0), (1, 0, 2), (1, 2, 0)),
-        ((1, 2, 2), (0, 0, 2), (0, 2, 0)),
-        ((0, 0, 0), (1, 2, 0), (1, 0, 2)),
-        ((1, 0, 0), (0, 2, 2), (0, 2, 2)),
-        ((0, 2, 2), (1, 0, 0), (1, 0, 0)),
-    )
-)
-NINE = CyclicMatrix.from_rows(((9, 0, 0), (0, 0, 0), (0, 0, 0)))
-
-# The eight integer matrices (3*sqrt(3) times the imaginary family)
-# whose squares are all equivalent to -27.
+# 3U (U in the plus-one family) squares to 9 and 3*sqrt(3)*U (U in the
+# imaginary family) to -27; all sixteen are integer matrices.
+_THREE, _THREE_ROOT_THREE = ExactScalar(3), ExactScalar(0, 3)
+ROOTS_OF_NINE: tuple[CyclicMatrix, ...] = tuple(_THREE * UNIT_VALUES[unit] for unit in PLUS_FAMILY)
+NINE = ExactScalar(9) * UNIT_VALUES[UnitName.ONE]
 SCALED_IMAGINARY_ROOTS: tuple[CyclicMatrix, ...] = tuple(
-    CyclicMatrix.from_rows(rows)
-    for rows in (
-        ((3, 0, 0), (6, 0, 0), (0, 0, 0)),
-        ((3, 0, 0), (0, 0, 0), (6, 0, 0)),
-        ((1, 0, 4), (2, 4, 2), (0, 2, 0)),
-        ((1, 4, 0), (0, 0, 2), (2, 2, 4)),
-        ((1, 4, 0), (2, 2, 4), (0, 0, 2)),
-        ((1, 0, 4), (0, 2, 0), (2, 4, 2)),
-        ((1, 2, 2), (2, 0, 0), (0, 4, 4)),
-        ((1, 2, 2), (0, 4, 4), (2, 0, 0)),
-    )
+    _THREE_ROOT_THREE * UNIT_VALUES[unit] for unit in IMAGINARY_FAMILY
 )
-MINUS_TWENTY_SEVEN = CyclicMatrix.from_rows(((0, 0, 0), (27, 0, 0), (27, 0, 0)))
+MINUS_TWENTY_SEVEN = ExactScalar(27) * UNIT_VALUES[UnitName.NEG1]

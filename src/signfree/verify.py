@@ -2,9 +2,11 @@
 
 Each check draws deterministic random samples (the generator is seeded
 from the run seed plus the check name, so reports are reproducible) and
-counts failures.  Algebraic laws are asserted with exact arithmetic;
-only the complex-plane cross-checks carry a 1e-9 tolerance, since they
-go through floating point on purpose.
+counts failures.  Algebraic laws are asserted with exact arithmetic.
+`TOLERANCE` (1e-9) is for the checks that go through floating point on
+purpose: the triple -> complex homomorphism, norm vs complex modulus,
+the triangle inequality, the complex and triple round trips, sign vs
+float and the character oracle.
 
 Pairs, triples and matrices are one construction, a group algebra modulo
 constants, so each law they share (the ring laws, a homomorphism, the

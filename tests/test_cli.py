@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from signfree import UNIT_VALUES, CyclicMatrix, UnitName, unit_value
-from signfree.cli import main, run_roots, run_tables
+from signfree.cli import main, main_entry, run_roots, run_tables
 from signfree.expressions import eval_text, format_value
 
 
@@ -238,3 +238,15 @@ def test_module_entry_point():
     )
     assert completed.returncode == 0
     assert completed.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("args, golden", ((["roots"], "roots"), (["tables", "--machine"], "tables-machine")))
+def test_console_entry_point(monkeypatch, capsys, args, golden):
+    # `main_entry` is the `signfree` script named in pyproject.toml's [project.scripts]
+    monkeypatch.setattr(sys, "argv", ["signfree", *args])
+    with pytest.raises(SystemExit) as exit_info:
+        main_entry()
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == (Path(__file__).parent / "golden" / f"{golden}.txt").read_bytes()

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -129,6 +130,21 @@ def test_eight_scaled_imaginary_roots():
     assert len(SCALED_IMAGINARY_ROOTS) == 8
     accepted = find_square_roots(MINUS_TWENTY_SEVEN, SCALED_IMAGINARY_ROOTS)
     assert len(accepted) == 8
+
+
+@pytest.mark.parametrize(
+    "family, target",
+    ((ROOTS_OF_NINE, NINE), (SCALED_IMAGINARY_ROOTS, MINUS_TWENTY_SEVEN)),
+    ids=("roots-of-nine", "scaled-imaginary-roots"),
+)
+def test_root_families_are_integer_matrices(family, target):
+    # every part (p + q*sqrt(3))/d of every root has q == 0 and d == 1
+    for root in family:
+        assert root._den == 1 and not any(root._num[1::2]), root
+        assert root * root == target, root
+    assert len(family) == 8
+    for a, b in itertools.combinations(family, 2):
+        assert a != b, (a, b)
 
 
 def test_square_root_families_among_units():
