@@ -5,10 +5,12 @@ for matrices, whose part ``3*s + r`` is row r of column s.  Parts add
 componentwise and multiply by the convolution over G,
 ``out[k] = sum of x[i]*y[j] over i + j == k``.  Each shape builds a
 small index table once (`convolution_table`) and generates its product
-from it as straight-line code (`straight_line_product`): one function
-with an unrolled sum per int and no loop, so the table stays the only
-source of the formula.  The loop over the table that this replaced is
-kept in ``tests/test_cyclic_core.py`` as the reference.
+from it as unrolled code (`straight_line_product`): one function
+with no loop, so the table stays the only source of the formula.  It
+tests which halves of each operand (rational or sqrt3 ints) are zero
+and, when each operand has one, returns the one unrolled sum left,
+else the full expression.  The loop over the table that this replaced
+is kept in ``tests/test_cyclic_core.py`` as the reference.
 
 An element holds its n parts as one flat tuple of ints
 ``(p0, q0, p1, q1, ...)`` over one shared denominator ``d > 0``: part i
@@ -67,22 +69,48 @@ def convolution_table(*orders: int) -> tuple:
 
 def straight_line_product(table: tuple, name: str) -> "Callable[[tuple, tuple], tuple]":
     """The convolution over `table` as one generated function of two flat
-    int tuples: ``out[k] = sum of x[i]*y[j]`` with ``s^2 = 3``, one
-    unrolled sum per int and no loop, compiled under the filename
-    ``<signfree NAME product>``.
+    int tuples, compiled under the filename ``<signfree NAME product>``.
+
+    With P, Q the rational and sqrt3 ints of x and P', Q' those of y, the
+    product is PP' + 3QQ' + sqrt3(PQ' + QP'), where PP' is ``sum of
+    p_i*p'_j`` over the table's pairs (i, j) of each part, and so on.
+    Each of the four sums is written out once, unrolled.  When each
+    operand has a zero half, as every unit and every rational element
+    has, one sum is all that is left, and the function returns it alone;
+    every other operand pair takes the full expression.
     """
     size = 2 * len(table)
-    terms = []
-    for pairs in table:
-        p = " + ".join(f"x{i}*y{j}" for i, j in pairs)
-        r = " + ".join(f"x{i + 1}*y{j + 1}" for i, j in pairs)
-        q = " + ".join(f"x{i}*y{j + 1} + x{i + 1}*y{j}" for i, j in pairs)
-        terms += (f"{p} + 3*({r})", q)
+    # per part: x's p (offset 0) or q (offset 1) ints times y's
+    pp, qq, pq, qp = (
+        [" + ".join(f"x{i + a}*y{j + b}" for i, j in pairs) for pairs in table]
+        for a, b in ((0, 0), (1, 1), (0, 1), (1, 0))
+    )
+    three_qq = [f"3*({s})" for s in qq]
+    full_p = [f"{a} + {b}" for a, b in zip(pp, three_qq)]
+    full_q = [f"{a} + {b}" for a, b in zip(pq, qp)]
+    zeros = ["0"] * len(table)
+
+    def parts(p: list, q: list) -> str:
+        return "(" + ", ".join(f"{a}, {b}" for a, b in zip(p, q)) + ")"
+
+    def nonzero(v: str, half: int) -> str:
+        return " or ".join(f"{v}{i}" for i in range(half, size, 2))
+
     source = (
         "def product(x, y):\n"
         f"    {''.join(f'x{i}, ' for i in range(size))}= x\n"
         f"    {''.join(f'y{i}, ' for i in range(size))}= y\n"
-        f"    return ({', '.join(terms)})\n"
+        f"    if not ({nonzero('x', 1)}):\n"  # x rational
+        f"        if not ({nonzero('y', 1)}):\n"
+        f"            return {parts(pp, zeros)}\n"
+        f"        if not ({nonzero('y', 0)}):\n"
+        f"            return {parts(zeros, pq)}\n"
+        f"    elif not ({nonzero('x', 0)}):\n"  # x a multiple of sqrt3
+        f"        if not ({nonzero('y', 1)}):\n"
+        f"            return {parts(zeros, qp)}\n"
+        f"        if not ({nonzero('y', 0)}):\n"
+        f"            return {parts(three_qq, zeros)}\n"
+        f"    return {parts(full_p, full_q)}\n"
     )
     namespace: dict = {}
     exec(compile(source, f"<signfree {name} product>", "exec"), namespace)

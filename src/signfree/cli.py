@@ -90,11 +90,10 @@ def _grid_lines(report: units.TableReport) -> list[str]:
     header = "  x |" + "".join(f"{unit.label:>{width + 1}}" for unit in table.col_units)
     lines.append(header)
     lines.append("-" * len(header))
-    by_cell = {(cell.row, cell.col): cell for cell in report.cells}
-    for row in table.row_units:
+    columns = len(table.col_units)
+    for start, row in zip(range(0, len(report.cells), columns), table.row_units):
         shown = []
-        for col in table.col_units:
-            cell = by_cell[(row, col)]
+        for cell in report.cells[start : start + columns]:
             label = cell.computed_name.label if cell.computed_name else "?"
             shown.append(f"{label:>{width}}" + ("" if cell.passed else "!"))
         lines.append(f"{row.label:>3} | " + " ".join(shown))

@@ -242,9 +242,8 @@ def verify_unit_table(
     values = UNIT_VALUES if units is None else units
     keys, names = _unit_keys(values)
     cells: list[CellCheck] = []
-    for row in table.row_units:
-        for col in table.col_units:
-            expected = table.expected(row, col)
+    for row, expected_row in zip(table.row_units, table.cells):
+        for col, expected in zip(table.col_units, expected_row):
             computed = values[row] * values[col]
             key = computed._key()
             cells.append(

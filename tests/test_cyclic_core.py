@@ -595,9 +595,46 @@ def rooted_parts(rng, name):
     return draw_parts(rng, name, pool)
 
 
+# which halves of an element's flat ints are nonzero: P, its rational ints,
+# and Q, its sqrt3 ints; the generated product has a branch for each
+# operand pair with a zero half
+HALVES = ("zero", "P only", "Q only", "both")
+
+
+def halves_of(num):
+    return HALVES[any(num[0::2]) + 2 * any(num[1::2])]
+
+
+def half_operand(rng, name, halves):
+    """An element whose nonzero halves are `halves`; its entries are 0,
+    r, r*sqrt3 or a nonnegative mix, over mixed denominators."""
+
+    def rational():
+        return Fraction(rng.randint(1, 9), rng.choice((1, 1, 2, 3, 6)))
+
+    r = rational()
+    kinds = {
+        "zero": [(0, 0)],
+        "P only": [(0, 0), (rational(), 0)],
+        "Q only": [(0, 0), (0, rational())],
+        "both": [(0, 0), (rational(), 0), (0, rational()), (2 * r, -r / 2)],
+    }[halves]
+    flat = [rng.choice(kinds) for _ in range(math.prod(PRODUCT_SHAPES[name][1]))]
+    # one entry with each of the halves asked for
+    if halves in ("P only", "both"):
+        flat[rng.randrange(len(flat))] = (rational(), 0)
+    if halves in ("Q only", "both"):
+        flat[rng.randrange(len(flat))] = (0, rational())
+    entries = [ExactScalar(p, q) for p, q in flat]
+    if name == "matrix":
+        entries = [entries[3 * col : 3 * col + 3] for col in range(3)]
+    return SYSTEMS[name][0](entries)
+
+
 def product_operands(name):
     """PRODUCT_CASES (label, x, y) elements: zeros, mixed denominators,
-    units, large sqrt3 powers, then seeded random operands."""
+    units, large sqrt3 powers, every pattern of zero halves, then seeded
+    random operands."""
     cls, orders = PRODUCT_SHAPES[name]
     build = SYSTEMS[name][0]
     rng = random.Random(f"product:{name}")
@@ -619,6 +656,11 @@ def product_operands(name):
     if name == "matrix":
         rooted = [UNIT_VALUES[u] for u in ROOTED_UNITS]
         cases += [(f"unit power {i}", u**7, rooted[(i + 3) % len(rooted)] ** 9) for i, u in enumerate(rooted)]
+    for hx in HALVES:
+        for hy in HALVES:
+            cases += [
+                (f"{hx} x {hy} {i}", half_operand(rng, name, hx), half_operand(rng, name, hy)) for i in range(2)
+            ]
     while len(cases) < PRODUCT_CASES:
         cases.append((f"random {len(cases)}", build(rand_parts(rng, name)), build(rand_parts(rng, name))))
     return cases
@@ -631,6 +673,8 @@ def test_generated_product_matches_loop(name):
     assert [list(pairs) for pairs in cls._TABLE] == table
     cases = product_operands(name)
     assert len(cases) == PRODUCT_CASES
+    # each of the 16 ordered patterns of zero halves, run below in both orders
+    assert len({(halves_of(x._num), halves_of(y._num)) for _, x, y in cases}) == len(HALVES) ** 2
     for label, x, y in cases:
         where = f"{name} {label}"
         for a, b in ((x, y), (y, x)):
