@@ -83,6 +83,11 @@ def run_repl() -> int:
     return 0
 
 
+def _print_record(*fields: object, passed: bool) -> None:
+    """One --machine record: the fields tab-joined, then `pass` or `fail`."""
+    print("\t".join([*map(str, fields), "pass" if passed else "fail"]))
+
+
 def _grid_lines(report: units.TableReport) -> list[str]:
     table = units.TABLES[report.table]
     width = 3
@@ -117,18 +122,9 @@ def run_tables(
         passed += report.n_passed
         if machine:
             for cell in report.cells:
-                computed = cell.computed_name.label if cell.computed_name else str(cell.computed.reduce())
-                print(
-                    "\t".join(
-                        (
-                            cell.table,
-                            cell.row.label,
-                            cell.col.label,
-                            cell.expected.label,
-                            computed,
-                            "pass" if cell.passed else "fail",
-                        )
-                    )
+                computed = cell.computed_name.label if cell.computed_name else cell.computed.reduce()
+                _print_record(
+                    which, cell.row.label, cell.col.label, cell.expected.label, computed, passed=cell.passed
                 )
         else:
             for line in _grid_lines(report):
@@ -141,31 +137,17 @@ def run_tables(
 
 def run_verify(samples: int, seed: int, machine: bool = False) -> int:
     results = verify.run_checks(samples=samples, seed=seed)
-    ok = True
     for result in results:
-        ok = ok and result.passed
         if machine:
-            print(
-                "\t".join(
-                    (
-                        result.name,
-                        str(result.samples),
-                        str(result.failures),
-                        "pass" if result.passed else "fail",
-                    )
-                )
-            )
+            _print_record(result.name, result.samples, result.failures, passed=result.passed)
         elif result.passed:
             print(f"PASS {result.name} ({result.samples} samples)")
         else:
-            print(
-                f"FAIL {result.name} ({result.failures}/{result.samples} failed):"
-                f" {result.detail}"
-            )
+            print(f"FAIL {result.name} ({result.failures}/{result.samples} failed): {result.detail}")
+    n_passed = sum(result.passed for result in results)
     if not machine:
-        n_passed = sum(result.passed for result in results)
         print(f"{n_passed}/{len(results)} checks pass")
-    return 0 if ok else 1
+    return 0 if n_passed == len(results) else 1
 
 
 def run_roots(machine: bool = False) -> int:
@@ -174,7 +156,7 @@ def run_roots(machine: bool = False) -> int:
     ok = all(confirmed)
     if machine:
         for index, good in enumerate(confirmed):
-            print(f"roots-of-nine\t#{index}\t{'pass' if good else 'fail'}")
+            _print_record("roots-of-nine", f"#{index}", passed=good)
     else:
         print(f"square roots of 9: {sum(confirmed)}/{len(ROOTS_OF_NINE)} confirmed")
         for candidate, square, good in zip(ROOTS_OF_NINE, squares, confirmed):
@@ -192,9 +174,7 @@ def run_roots(machine: bool = False) -> int:
         ok = ok and family_ok
         if machine:
             for unit in UnitName:
-                expected_in = unit in family
-                actually_in = unit in found_names
-                print(f"{tag}\t{unit.label}\t{'pass' if expected_in == actually_in else 'fail'}")
+                _print_record(tag, unit.label, passed=(unit in family) == (unit in found_names))
         else:
             labels = " ".join(unit.label for unit in UnitName if unit in found_names)
             print(

@@ -21,6 +21,7 @@ __all__ = ["CyclicTriple"]
 
 _THIRD = Fraction(1, 3)
 _COMPONENTS = ("component a", "component b", "component c")  # entry names in errors
+_COMPLEX_DIGITS = 12  # decimal places `from_complex` keeps of each part
 
 
 class CyclicTriple(CyclicElement):
@@ -34,17 +35,17 @@ class CyclicTriple(CyclicElement):
         self._num, self._den = checked_payload((a, b, c), _COMPONENTS)
 
     @classmethod
-    def from_complex(cls, value: complex, digits: int = 12) -> "CyclicTriple":
+    def from_complex(cls, value: complex) -> "CyclicTriple":
         """Reduced representative of a complex number.
 
-        The real and imaginary parts are rationalized to `digits` decimal
+        The real and imaginary parts are rationalized to 12 decimal
         places, so the round trip through :meth:`to_complex` is accurate
-        to roughly 10**-digits.
+        to roughly 10**-12.
         """
         z = complex(value)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("cannot represent a non-finite complex value")
-        scale = 10**digits
+        scale = 10**_COMPLEX_DIGITS
         x = Fraction(round(Fraction(z.real) * scale), scale)
         y = Fraction(round(Fraction(z.imag) * scale), scale)
         triple = cls.from_signed(x)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .matrices import CyclicMatrix
 from .scalars import ExactScalar
@@ -197,11 +197,9 @@ TABLES: dict[str, Table] = {
 TABLE_IDS = tuple(TABLES)
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(NamedTuple):
     """One table cell; `computed` is the raw, unreduced product."""
 
-    table: str
     row: UnitName
     col: UnitName
     expected: UnitName
@@ -246,17 +244,7 @@ def verify_unit_table(
         for col, expected in zip(table.col_units, expected_row):
             computed = values[row] * values[col]
             key = computed._key()
-            cells.append(
-                CellCheck(
-                    table=which,
-                    row=row,
-                    col=col,
-                    expected=expected,
-                    computed=computed,
-                    computed_name=names.get(key),
-                    passed=key == keys[expected],
-                )
-            )
+            cells.append(CellCheck(row, col, expected, computed, names.get(key), key == keys[expected]))
     return TableReport(which, cells)
 
 

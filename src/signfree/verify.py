@@ -2,7 +2,9 @@
 
 Each check draws deterministic random samples (the generator is seeded
 from the run seed plus the check name, so reports are reproducible) and
-counts failures.  Algebraic laws are asserted with exact arithmetic.
+records into its own `CheckResult`: `expect` counts each failed law and
+keeps the description of the first.  Algebraic laws are asserted with
+exact arithmetic.
 `TOLERANCE` (1e-9) is for the checks that go through floating point on
 purpose: the triple -> complex homomorphism, norm vs complex modulus,
 the triangle inequality, the complex and triple round trips, sign vs
@@ -40,7 +42,7 @@ TOLERANCE = 1e-9
 
 _SMALL_DENOMS = (1, 1, 1, 1, 2, 3, 4)
 _Draw = Callable[[random.Random], object]  # one random entry or element
-_Check = Callable[[int, random.Random, "_Recorder"], None]
+_Check = Callable[[int, random.Random, "CheckResult"], None]
 
 
 def _rand_nonneg(rng: random.Random) -> Fraction:
@@ -77,22 +79,15 @@ def _rand_matrix(rng: random.Random, entry: _Draw = _rand_nonneg) -> CyclicMatri
 class CheckResult:
     name: str
     samples: int
-    failures: int
+    failures: int = 0
     detail: str = ""
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
-
-class _Recorder:
-    """Counts failures, keeping the first description."""
-
-    def __init__(self) -> None:
-        self.failures = 0
-        self.detail = ""
-
     def expect(self, ok: bool, describe: Callable[[], str]) -> None:
+        """Counts a failure unless `ok`, keeping the first description."""
         if not ok:
             self.failures += 1
             if not self.detail:
@@ -103,7 +98,7 @@ def _ring_laws(draw: _Draw, reducible: bool = False) -> _Check:
     """The commutative ring laws on random x, y, z; a `reducible` system
     (pairs and triples) is also checked for `reduce()` and closure."""
 
-    def check(n: int, rng: random.Random, rec: _Recorder) -> None:
+    def check(n: int, rng: random.Random, rec: CheckResult) -> None:
         for _ in range(n):
             x, y, z = (draw(rng) for _ in range(3))
             rec.expect(x + y == y + x, lambda: f"add commutativity: {x}, {y}")
@@ -125,7 +120,7 @@ def _homomorphism(draw: _Draw, image: Callable, same: Callable[..., bool], label
     """That `image` carries products and sums of random x, y to products
     and sums, as told by `same`."""
 
-    def check(n: int, rng: random.Random, rec: _Recorder) -> None:
+    def check(n: int, rng: random.Random, rec: CheckResult) -> None:
         for _ in range(n):
             x, y = draw(rng), draw(rng)
             for op, law in ((mul, "mul"), (add, "add")):
@@ -145,7 +140,7 @@ def _same_components(x: CyclicTriple, y: CyclicTriple) -> bool:
     return x.components == y.components  # exact componentwise, no quotient needed
 
 
-def _check_scalar_sign_and_reciprocal(n: int, rng: random.Random, rec: _Recorder) -> None:
+def _check_scalar_sign_and_reciprocal(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         x = _rand_scalar(rng)
         rec.expect((x * x).sign() >= 0, lambda: f"square sign: {x}")
@@ -157,7 +152,7 @@ def _check_scalar_sign_and_reciprocal(n: int, rng: random.Random, rec: _Recorder
             rec.expect(x * (1 / x) == 1, lambda: f"reciprocal: {x}")
 
 
-def _check_pair_roundtrip(n: int, rng: random.Random, rec: _Recorder) -> None:
+def _check_pair_roundtrip(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         value = ExactScalar(_rand_signed(rng))
         pair = UnsignedPair.from_signed(value)
@@ -165,7 +160,7 @@ def _check_pair_roundtrip(n: int, rng: random.Random, rec: _Recorder) -> None:
         rec.expect(pair.to_signed() == value, lambda: f"roundtrip: {value}")
 
 
-def _check_triple_well_defined(n: int, rng: random.Random, rec: _Recorder) -> None:
+def _check_triple_well_defined(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         x, y = _rand_triple(rng), _rand_triple(rng)
         shift = _rand_nonneg(rng)
@@ -174,7 +169,7 @@ def _check_triple_well_defined(n: int, rng: random.Random, rec: _Recorder) -> No
         rec.expect((x + zero) * y == x * y, lambda: f"well-definedness: {x}, {zero}, {y}")
 
 
-def _check_triple_norms(n: int, rng: random.Random, rec: _Recorder) -> None:
+def _check_triple_norms(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         x, y = _rand_triple(rng), _rand_triple(rng)
         rec.expect(
@@ -192,7 +187,7 @@ def _check_triple_norms(n: int, rng: random.Random, rec: _Recorder) -> None:
         rec.expect(x.norm_sq().sign() >= 0, lambda: f"norm nonnegative: {x}")
 
 
-def _check_triple_complex_roundtrip(n: int, rng: random.Random, rec: _Recorder) -> None:
+def _check_triple_complex_roundtrip(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         z = complex(rng.uniform(-100, 100), rng.uniform(-100, 100))
         rebuilt = CyclicTriple.from_complex(z)
@@ -209,7 +204,7 @@ def _check_triple_complex_roundtrip(n: int, rng: random.Random, rec: _Recorder) 
         )
 
 
-def _check_matrix_well_defined(n: int, rng: random.Random, rec: _Recorder) -> None:
+def _check_matrix_well_defined(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         x, y = _rand_matrix(rng), _rand_matrix(rng)
         zero = absolute_zero(_rand_nonneg(rng), _rand_nonneg(rng), _rand_nonneg(rng))
@@ -218,7 +213,7 @@ def _check_matrix_well_defined(n: int, rng: random.Random, rec: _Recorder) -> No
         rec.expect(zero == CyclicMatrix.zero(), lambda: f"zero class: {zero}")
 
 
-def _check_matrix_norms(n: int, rng: random.Random, rec: _Recorder) -> None:
+def _check_matrix_norms(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         x, y = _rand_matrix(rng), _rand_matrix(rng)
         rec.expect(
@@ -227,7 +222,7 @@ def _check_matrix_norms(n: int, rng: random.Random, rec: _Recorder) -> None:
         )
 
 
-def _check_rotation_zeros(n: int, rng: random.Random, rec: _Recorder) -> None:
+def _check_rotation_zeros(n: int, rng: random.Random, rec: CheckResult) -> None:
     for xi in (Fraction(1), Fraction(7, 3)):
         for selector in RowSelector.all():
             zero = rotation_zero(selector, xi)
@@ -259,7 +254,7 @@ def _character_pattern(matrix: CyclicMatrix) -> "tuple[complex, ...] | None":
     return tuple(pattern)
 
 
-def _check_character_oracle(n: int, rng: random.Random, rec: _Recorder) -> None:
+def _check_character_oracle(n: int, rng: random.Random, rec: CheckResult) -> None:
     for label, family, signs in (("plus", PLUS_FAMILY, (1, -1)), ("imaginary", IMAGINARY_FAMILY, (1j, -1j))):
         patterns = {_character_pattern(UNIT_VALUES[u]) for u in family}
         rec.expect(
@@ -322,9 +317,7 @@ def run_checks(samples: int = 1000, seed: int = 42) -> list[CheckResult]:
         raise ValueError("samples must be positive")
     results: list[CheckResult] = []
     for name, check, divisor in _CHECKS:
-        n = max(1, samples // divisor)
-        rng = random.Random(f"{seed}:{name}")
-        recorder = _Recorder()
-        check(n, rng, recorder)
-        results.append(CheckResult(name, n, recorder.failures, recorder.detail))
+        result = CheckResult(name, max(1, samples // divisor))
+        check(result.samples, random.Random(f"{seed}:{name}"), result)
+        results.append(result)
     return results
