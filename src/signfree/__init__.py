@@ -14,80 +14,20 @@ All arithmetic is exact over Q(sqrt 3); floating point appears only in
 diagnostic output (norms, complex conversions, characters).
 """
 
-from .scalars import SQRT3, ExactScalar, as_scalar
-from .pairs import UnsignedPair
-from .triples import CyclicTriple
-from .matrices import (
-    CyclicMatrix,
-    RowSelector,
-    absolute_zero,
-    characters_close,
-    find_square_roots,
-    rotation_zero,
-)
-from .units import (
-    IMAGINARY_FAMILY,
-    MINUS_TWENTY_SEVEN,
-    NINE,
-    PLUS_FAMILY,
-    ROOTS_OF_NINE,
-    SCALED_IMAGINARY_ROOTS,
-    TABLE_IDS,
-    TABLES,
-    UNIT_VALUES,
-    TableReport,
-    UnitName,
-    match_unit,
-    unit_value,
-    verify_unit_table,
-)
-from .expressions import (
-    ExpressionError,
-    Kind,
-    eval_text,
-    evaluate,
-    format_value,
-    kind_of,
-    parse,
-)
-from .verify import CHECK_NAMES, CheckResult, run_checks
+from . import scalars, pairs, triples, matrices, units, expressions, verify  # dependency order
+from .scalars import *
+from .pairs import *
+from .triples import *
+from .matrices import *
+from .units import *
+from .expressions import *
+from .verify import *
 
 __version__ = "0.1.0"
 
+# every module's public names, in import order; `cli` is not imported
 __all__ = [
-    "ExactScalar",
-    "SQRT3",
-    "as_scalar",
-    "UnsignedPair",
-    "CyclicTriple",
-    "CyclicMatrix",
-    "RowSelector",
-    "absolute_zero",
-    "rotation_zero",
-    "find_square_roots",
-    "characters_close",
-    "UnitName",
-    "PLUS_FAMILY",
-    "IMAGINARY_FAMILY",
-    "UNIT_VALUES",
-    "unit_value",
-    "match_unit",
-    "TABLES",
-    "TABLE_IDS",
-    "TableReport",
-    "verify_unit_table",
-    "ROOTS_OF_NINE",
-    "NINE",
-    "SCALED_IMAGINARY_ROOTS",
-    "MINUS_TWENTY_SEVEN",
-    "ExpressionError",
-    "Kind",
-    "parse",
-    "kind_of",
-    "evaluate",
-    "eval_text",
-    "format_value",
-    "run_checks",
-    "CheckResult",
-    "CHECK_NAMES",
+    name
+    for module in (scalars, pairs, triples, matrices, units, expressions, verify)
+    for name in module.__all__
 ]

@@ -10,7 +10,9 @@ with no loop, so the table stays the only source of the formula.  It
 tests which halves of each operand (rational or sqrt3 ints) are zero
 and, when each operand has one, returns the one unrolled sum left,
 else the full expression.  The loop over the table that this replaced
-is kept in ``tests/test_cyclic_core.py`` as the reference.
+is kept in ``tests/test_cyclic_core.py`` as the reference.  It is the
+only multiply of elements: a scale factor is the element with the
+factor at part 0, the identity of G, and zeros elsewhere.
 
 An element holds its n parts as one flat tuple of ints
 ``(p0, q0, p1, q1, ...)`` over one shared denominator ``d > 0``: part i
@@ -77,7 +79,8 @@ def straight_line_product(table: tuple, name: str) -> "Callable[[tuple, tuple], 
     Each of the four sums is written out once, unrolled.  When each
     operand has a zero half, as every unit and every rational element
     has, one sum is all that is left, and the function returns it alone;
-    every other operand pair takes the full expression.
+    every other operand pair takes the full expression.  Scaling calls it
+    too, with y the factor at part 0 and zeros elsewhere.
     """
     size = 2 * len(table)
     # per part: x's p (offset 0) or q (offset 1) ints times y's
@@ -160,6 +163,7 @@ class CyclicElement:
         name = "x".join(f"C{n}" for n in cls._ORDERS)
         cls._product = staticmethod(straight_line_product(cls._TABLE, name))
         cls._SIZE = size = 2 * math.prod(cls._ORDERS)  # flat ints per element
+        cls._ZEROS = (0,) * (size - 2)  # the parts after part 0 of a scale factor
         cls._RUN = run = 2 * cls._ORDERS[-1]  # flat ints per run
         # (i, j): flat int i and the same int (p or q) of its run's first part
         cls._KEY_PAIRS = tuple(
@@ -215,16 +219,13 @@ class CyclicElement:
 
     def _times(self, other: object) -> "CyclicElement":
         if isinstance(other, type(self)):
-            return self._make(self._product(self._num, other._num), self._den * other._den)
-        if isinstance(other, SCALAR_TYPES):
-            (p, q), d = checked_payload((other,), ("scale factor",))
-            num = self._num
-            out = []
-            for i in range(0, len(num), 2):
-                x, y = num[i], num[i + 1]
-                out += (x * p + 3 * y * q, x * q + y * p)
-            return self._make(out, self._den * d)
-        return NotImplemented
+            num, den = other._num, other._den
+        elif isinstance(other, SCALAR_TYPES):
+            (p, q), den = checked_payload((other,), ("scale factor",))
+            num = (p, q, *self._ZEROS)
+        else:
+            return NotImplemented
+        return self._make(self._product(self._num, num), self._den * den)
 
     def __pow__(self, exponent: int) -> "CyclicElement":
         if not isinstance(exponent, int):

@@ -19,7 +19,6 @@ from .scalars import ExactScalar, _normalised
 
 __all__ = ["CyclicTriple"]
 
-_THIRD = Fraction(1, 3)
 _COMPONENTS = ("component a", "component b", "component c")  # entry names in errors
 _COMPLEX_DIGITS = 12  # decimal places `from_complex` keeps of each part
 
@@ -46,15 +45,14 @@ class CyclicTriple(CyclicElement):
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("cannot represent a non-finite complex value")
         scale = 10**_COMPLEX_DIGITS
-        x = Fraction(round(Fraction(z.real) * scale), scale)
-        y = Fraction(round(Fraction(z.imag) * scale), scale)
-        triple = cls.from_signed(x)
-        if y >= 0:
-            # y * (sqrt3/3) * (1, 2, 0) contributes exactly i*y
-            triple = triple + cls(ExactScalar(0, y * _THIRD), ExactScalar(0, 2 * y * _THIRD), 0)
-        else:
-            triple = triple + cls(ExactScalar(0, -y * _THIRD), 0, ExactScalar(0, -2 * y * _THIRD))
-        return triple.reduce()
+        x = round(Fraction(z.real) * scale)
+        y = round(Fraction(z.imag) * scale)
+        # ints over 3*scale: the real part is 3x at a (x >= 0) or -3x at b
+        # and c; i*y is exactly y*sqrt3 times (1, 2, 0), as 1 + 2w = i*sqrt3,
+        # for y >= 0 and |y|*sqrt3 times (1, 0, 2), as 1 + 2w**2 = -i*sqrt3, else
+        a, b, c = (3 * x, 0, 0) if x >= 0 else (0, -3 * x, -3 * x)
+        num = (a, y, b, 2 * y, c, 0) if y >= 0 else (a, -y, b, 0, c, -2 * y)
+        return cls._make(num, 3 * scale).reduce()
 
     @property
     def a(self) -> ExactScalar:

@@ -216,6 +216,57 @@ def test_from_complex_rejects_non_finite():
         CyclicTriple.from_complex(complex(0, float("nan")))
 
 
+def _checked_from_complex(value):
+    """`from_complex` as computed before it built its ints directly: through
+    `from_signed`, the checked constructor and a sum of triples."""
+    z = complex(value)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError("cannot represent a non-finite complex value")
+    scale = 10**12
+    x = Fraction(round(Fraction(z.real) * scale), scale)
+    y = Fraction(round(Fraction(z.imag) * scale), scale)
+    third = Fraction(1, 3)
+    triple = CyclicTriple.from_signed(x)
+    if y >= 0:
+        triple = triple + CyclicTriple(ExactScalar(0, y * third), ExactScalar(0, 2 * y * third), 0)
+    else:
+        triple = triple + CyclicTriple(ExactScalar(0, -y * third), 0, ExactScalar(0, -2 * y * third))
+    return triple.reduce()
+
+
+def _complex_part(rng):
+    """A float part of one of five kinds, each of either sign."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        magnitude = 0.0
+    elif kind == 1:  # rounds to 0 at 12 places, or sits on that boundary
+        magnitude = rng.choice([rng.uniform(0, 5e-13), 5e-13, math.nextafter(5e-13, 1.0)])
+    elif kind == 2:  # next to a rounding boundary (n + 1/2) * 1e-12
+        n = rng.randrange(10 ** rng.randint(0, 9))
+        magnitude = (n + 0.5) / 1e12
+        for _ in range(rng.randint(0, 2)):
+            magnitude = math.nextafter(magnitude, rng.choice([0.0, math.inf]))
+    elif kind == 3:  # up to 1e300
+        magnitude = rng.random() * 10.0 ** rng.randint(-15, 300)
+    else:
+        magnitude = rng.uniform(0, 10)
+    return kind, rng.choice([1.0, -1.0]) * magnitude
+
+
+def test_from_complex_matches_checked_reference():
+    rng = random.Random(31)
+    values, kinds = [complex(1e300, -1e300), complex(-0.0, -0.0), 1j, -1j], set()
+    for _ in range(12_000):
+        (kind_x, x), (kind_y, y) = _complex_part(rng), _complex_part(rng)
+        values.append(complex(x, y))
+        kinds |= {("real", kind_x, math.copysign(1, x)), ("imag", kind_y, math.copysign(1, y))}
+    for z in values:
+        new, old = CyclicTriple.from_complex(z), _checked_from_complex(z)
+        assert (new._num, new._den) == (old._num, old._den), z
+    # every kind of part reached with each sign, in both the real and the imaginary part
+    assert len(kinds) == 2 * 5 * 2
+
+
 def test_scaling():
     scaled = ExactScalar(Fraction(1, 3)) * CyclicTriple(1, 4, 4)
     third = Fraction(1, 3)
