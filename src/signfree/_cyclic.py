@@ -36,14 +36,15 @@ constructor and every scale factor passes its entries through
 its sign with one `_int_sign` and joins the entries over one
 denominator.  Sums, products and reductions of nonnegative parts stay
 nonnegative, so results are built unchecked by
-:meth:`CyclicElement._make`.  The public classes define their own
-``__mul__``, ``reduce`` and so on as thin calls into this class, so that
-per-class instrumentation (``bench/tracing.py``) can wrap each apart.
+:meth:`CyclicElement._make`.  ``*``, ``**``, ``==``, ``hash`` and `reduce()`
+are written once, here, and each public class gets its own copy of them,
+so per-class instrumentation (``bench/tracing.py``) can wrap each apart.
 """
 
 from __future__ import annotations
 
 import math
+import types
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable
@@ -152,7 +153,8 @@ class CyclicElement:
 
     Subclasses set `_NOUN`, their plural for error texts, and `_ORDERS`,
     the cyclic factors of their group; the last factor's order is the
-    length of a run.
+    length of a run.  Each subclass gets its own copy of the operators and
+    `reduce` below, and defines none of them itself.
     """
 
     __slots__ = ("_num", "_den")
@@ -169,6 +171,12 @@ class CyclicElement:
         cls._KEY_PAIRS = tuple(
             (start + i, start + i % 2) for start in range(0, size, run) for i in range(2, run)
         )
+        # bench/tracing.py tells the classes apart by these entries, so each owns a copy
+        for name in ("__mul__", "__pow__", "reduce", "__eq__", "__hash__"):
+            f = vars(CyclicElement)[name]
+            own = types.FunctionType(f.__code__, f.__globals__, name, f.__defaults__, f.__closure__)
+            setattr(cls, name, own)
+        cls.__rmul__ = cls.__mul__
 
     @classmethod
     def _make(cls, num: "tuple | list", den: int) -> "CyclicElement":
@@ -217,7 +225,7 @@ class CyclicElement:
             return self._make([x + y for x, y in zip(self._num, other._num)], dx)
         return self._make([x * dy + y * dx for x, y in zip(self._num, other._num)], dx * dy)
 
-    def _times(self, other: object) -> "CyclicElement":
+    def __mul__(self, other: object) -> "CyclicElement":
         if isinstance(other, type(self)):
             num, den = other._num, other._den
         elif isinstance(other, SCALAR_TYPES):
@@ -227,6 +235,8 @@ class CyclicElement:
             return NotImplemented
         return self._make(self._product(self._num, num), self._den * den)
 
+    __rmul__ = __mul__
+
     def __pow__(self, exponent: int) -> "CyclicElement":
         if not isinstance(exponent, int):
             return NotImplemented
@@ -234,8 +244,13 @@ class CyclicElement:
             raise ValueError(f"negative powers are not defined for {self._NOUN}")
         return power(self, exponent, self.one)
 
-    def _reduce(self) -> "CyclicElement":
-        """Each run less its minimum part, found by exact signs over the common ``d``."""
+    def reduce(self) -> "CyclicElement":
+        """Each run less its minimum part; idempotent.
+
+        A pair loses the smaller of its two parts, a triple the minimum of
+        its three, and each matrix column its own minimum.  The minima are
+        found by exact signs over the common ``d``.
+        """
         num, run = self._num, self._RUN
         out = []
         for start in range(0, len(num), run):
@@ -249,7 +264,8 @@ class CyclicElement:
 
     @property
     def is_reduced(self) -> bool:
-        return self._reduce()._num == self._num
+        # the core's own function: a tracer may wrap the class's copy, and counts calls to it
+        return CyclicElement.reduce(self)._num == self._num
 
     def _key(self) -> tuple:
         """Each run's parts less its first part, over ``d`` in lowest terms:

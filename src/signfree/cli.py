@@ -80,7 +80,6 @@ def run_repl() -> int:
         if line.lower() in ("quit", "exit"):
             return 0
         _eval_line(line)
-    return 0
 
 
 def _print_record(*fields: object, passed: bool) -> None:
@@ -191,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Exact calculator for sign-free number systems: pairs p{..,..},"
             " triples t{..,..,..} and 3x3 matrices m{[..];[..];[..]} over"
             " Q(sqrt 3), with the sixteen named unit constants"
-            " (ONE NEG1 J NJ K NK L NL I NI JJ NJJ KK NKK LL NLL for"
-            " 1 -1 J -J K -K L -L i -i j -j k -k l -l)."
+            f" ({' '.join(unit.name for unit in UnitName)}"
+            f" for {' '.join(unit.label for unit in UnitName)})."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -135,18 +135,6 @@ class CyclicMatrix(CyclicElement):
         """Entries in the printed layout (rows top to bottom)."""
         return tuple(tuple(self._part(3 * s + r) for s in range(3)) for r in range(3))
 
-    def __mul__(self, other: object) -> "CyclicMatrix":
-        return self._times(other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "CyclicMatrix":
-        return super().__pow__(exponent)  # an own entry, see signfree._cyclic
-
-    def reduce(self) -> "CyclicMatrix":
-        """Reduce each column independently by its own minimum; idempotent."""
-        return self._reduce()
-
     def row_sums(self) -> CyclicTriple:
         """The triple of row sums; an exact homomorphism onto triples."""
         num = self._num
@@ -169,12 +157,6 @@ class CyclicMatrix(CyclicElement):
         if not all(map(cmath.isfinite, chars)):  # finite columns, a sum past float range
             raise OverflowError("characters too large for a float")
         return chars
-
-    def __eq__(self, other: object) -> bool:
-        return super().__eq__(other)  # an own entry, see signfree._cyclic
-
-    def __hash__(self) -> int:
-        return super().__hash__()  # an own entry, see signfree._cyclic
 
     def __str__(self) -> str:
         rows = self.rows()

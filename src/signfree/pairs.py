@@ -38,15 +38,6 @@ class UnsignedPair(CyclicElement):
     def minus(self) -> ExactScalar:
         return self._part(1)
 
-    def reduce(self) -> "UnsignedPair":
-        """Subtract the smaller component from both; idempotent."""
-        return self._reduce()
-
-    def __mul__(self, other: object) -> "UnsignedPair":
-        return self._times(other)
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         return "p{{{},{}}}".format(*self.components)
 

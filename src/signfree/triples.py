@@ -66,15 +66,6 @@ class CyclicTriple(CyclicElement):
     def c(self) -> ExactScalar:
         return self._part(2)
 
-    def __mul__(self, other: object) -> "CyclicTriple":
-        return self._times(other)
-
-    __rmul__ = __mul__
-
-    def reduce(self) -> "CyclicTriple":
-        """Subtract the minimum component from all three; idempotent."""
-        return self._reduce()
-
     def norm_sq(self) -> ExactScalar:
         """Exact squared length: a^2 + b^2 + c^2 - ab - ac - bc.
 
@@ -112,11 +103,6 @@ class CyclicTriple(CyclicElement):
         re = _normalised(2 * pa - pb - pc, 2 * qa - qb - qc, 2 * self._den)
         im = _normalised(3 * (qb - qc), pb - pc, 2 * self._den)
         return complex(float(re), float(im))
-
-    def __eq__(self, other: object) -> bool:
-        return super().__eq__(other)  # an own entry, see signfree._cyclic
-
-    __hash__ = CyclicElement.__hash__
 
     def __str__(self) -> str:
         return "t{{{},{},{}}}".format(*self.components)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from signfree import UNIT_VALUES, CyclicMatrix, UnitName, unit_value
-from signfree.cli import main, main_entry, run_roots, run_tables
+from signfree.cli import build_parser, main, main_entry, run_roots, run_tables
 from signfree.expressions import eval_text, format_value
 
 
@@ -145,6 +145,16 @@ def test_readme_eval_examples(monkeypatch, capsys):
             words = words[words.index("signfree") :]
         assert main(words[1:]) == 0, command
         assert capsys.readouterr().out == expected + "\n", command
+
+
+def test_parser_description_lists_every_unit():
+    assert build_parser().description == (
+        "Exact calculator for sign-free number systems: pairs p{..,..},"
+        " triples t{..,..,..} and 3x3 matrices m{[..];[..];[..]} over"
+        " Q(sqrt 3), with the sixteen named unit constants"
+        " (ONE NEG1 J NJ K NK L NL I NI JJ NJJ KK NKK LL NLL for"
+        " 1 -1 J -J K -K L -L i -i j -j k -k l -l)."
+    )
 
 
 def test_tables_pass(capsys):

@@ -30,6 +30,7 @@ from signfree import (
     as_scalar,
     rotation_zero,
 )
+from signfree._cyclic import CyclicElement
 from signfree.units import _UNIT_DEFS
 
 SEEDS = range(200)
@@ -683,3 +684,15 @@ def test_generated_product_matches_loop(name):
             ref, got = cls._make(raw, a._den * b._den), a * b
             assert (got._num, got._den) == (ref._num, ref._den), where
             assert str(got) == str(ref) and repr(got) == repr(ref), where
+
+
+def test_each_class_owns_a_distinct_copy_of_each_shared_entry():
+    # per-class instrumentation wraps cls.__dict__[entry], keyed by the function
+    # object: a shared object would count every class's calls under one name
+    classes = (UnsignedPair, CyclicTriple, CyclicMatrix)
+    for entry in ("__mul__", "__rmul__", "__pow__", "reduce", "__eq__", "__hash__"):
+        assert all(entry in vars(cls) for cls in classes), entry
+        functions = [vars(cls)[entry] for cls in classes]
+        assert len({id(f) for f in functions}) == len(classes), entry
+        assert all(f.__code__ is vars(CyclicElement)[entry].__code__ for f in functions), entry
+    assert all(vars(cls)["__rmul__"] is vars(cls)["__mul__"] for cls in classes)
