@@ -32,10 +32,10 @@ gives the printed form.
 
 Nonnegativity is checked once, where values come from outside: every
 constructor and every scale factor passes its entries through
-`checked_payload`, which reads each entry as ``(p, q, d)`` ints, tests
-its sign with one `_int_sign` and joins the entries over one
-denominator.  Sums, products and reductions of nonnegative parts stay
-nonnegative, so results are built unchecked by
+`checked_payload`, which reads each entry as ``(p, q, d)`` ints (an
+int or Fraction by its type), tests its sign once and joins the
+entries over one denominator.  Sums, products and reductions of
+nonnegative parts stay nonnegative, so results are built unchecked by
 :meth:`CyclicElement._make`.  ``*``, ``**``, ``==``, ``hash`` and `reduce()`
 are written once, here, and each public class gets its own copy of them,
 so per-class instrumentation (``bench/tracing.py``) can wrap each apart.
@@ -137,15 +137,29 @@ def checked_payload(entries: "Iterable[object]", names: "Iterable[str]") -> "tup
 
     An entry is an `ExactScalar`, int, Fraction or numeric str; each must
     be nonnegative, and its name in `names` says which one is not.  Ints
-    and Fractions are read as they are, with no `ExactScalar` built.
+    and Fractions (exact types) are read by type, with no `ExactScalar` built.
     """
-    payloads = []
+    num, dens = [], []
     for value, what in zip(entries, names):
-        p, q, d = ExactScalar._parts(value) or ExactScalar._parts(as_scalar(value))
-        if _int_sign(p, q) < 0:
+        kind = type(value)
+        if kind is int:
+            p, q, d = value, 0, 1
+        elif kind is Fraction:
+            p, q, d = value.numerator, 0, value.denominator
+        else:  # bools, int subclasses, scalars and strs
+            p, q, d = ExactScalar._parts(value) or ExactScalar._parts(as_scalar(value))
+        if (p < 0) if q == 0 else (_int_sign(p, q) < 0):
             raise ValueError(f"{what} must be nonnegative, got {_normalised(p, q, d)}")
-        payloads.append(((p, q), d))
-    return join(payloads)
+        num += (p, q)
+        dens.append(d)
+    den = math.lcm(*dens)
+    if den != 1:  # each entry is in lowest terms, so the join is too (see `join`)
+        for i, d in enumerate(dens):
+            if d != den:
+                f = den // d
+                num[2 * i] *= f
+                num[2 * i + 1] *= f
+    return tuple(num), den
 
 
 class CyclicElement:

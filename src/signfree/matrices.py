@@ -33,8 +33,8 @@ from itertools import product as _iter_product
 from typing import Iterable
 
 from ._cyclic import CyclicElement, checked_payload, join
-from .scalars import ExactScalar, as_scalar
-from .triples import _COMPONENTS, CyclicTriple
+from .scalars import ExactScalar, _int_sign, _normalised, as_scalar
+from .triples import _COMPONENTS, CyclicTriple, _complex, _norm_sq
 
 __all__ = [
     "CyclicMatrix",
@@ -50,6 +50,7 @@ _OMEGA2 = complex(-0.5, -math.sqrt(3.0) / 2.0)
 
 _ROWS = ("a", "b", "c")
 _COLUMNS = ("A", "B", "C")
+_COLUMN_INDEX = {column: s for s, column in enumerate(_COLUMNS)}
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,14 @@ class RowSelector:
 
     @classmethod
     def all(cls) -> tuple["RowSelector", ...]:
-        return tuple(cls(*choice) for choice in _iter_product(_COLUMNS, repeat=3))
+        return _SELECTORS
 
     def __str__(self) -> str:
         return " ".join(f"{row}->{col}" for row, col in zip(_ROWS, self.choices))
+
+
+# all 27 patterns, a -> A first and c fastest; values are immutable, so one tuple serves
+_SELECTORS = tuple(RowSelector(*choice) for choice in _iter_product(_COLUMNS, repeat=3))
 
 
 def _column_payload(value: object, which: str) -> "tuple[tuple, int]":
@@ -141,14 +146,16 @@ class CyclicMatrix(CyclicElement):
         return CyclicTriple._make([num[k] + num[k + 6] + num[k + 12] for k in range(6)], self._den)
 
     def norm_sq(self) -> ExactScalar:
-        return self.row_sums().norm_sq()
+        num = self._num  # the row sums' ints, with no triple built
+        return _norm_sq(*[num[k] + num[k + 6] + num[k + 12] for k in range(6)], self._den)
 
     def norm(self) -> float:
         return self.row_sums().norm()
 
     def characters(self) -> tuple[complex, complex, complex]:
         """Three complex fingerprints, constant on equivalence classes."""
-        pa, pb, pc = (col.to_complex() for col in self.columns)
+        num, den = self._num, self._den
+        pa, pb, pc = (_complex(*num[k : k + 6], den) for k in (0, 6, 12))
         chars = (
             pa + pb + pc,
             pa + _OMEGA * pb + _OMEGA2 * pc,
@@ -181,14 +188,14 @@ def rotation_zero(selector: RowSelector, xi: object) -> CyclicMatrix:
     zero, and leave norms unchanged under addition -- yet in general
     they are not equivalent to the zero class.
     """
-    value = as_scalar(xi)
-    if value.sign() <= 0:
-        raise ValueError(f"rotation zeros need a positive entry, got {value}")
+    p, q, d = ExactScalar._parts(xi) or ExactScalar._parts(as_scalar(xi))
+    if _int_sign(p, q) <= 0:
+        raise ValueError(f"rotation zeros need a positive entry, got {_normalised(p, q, d)}")
     num = [0] * 18
     for row, column in enumerate(selector.choices):
-        k = 2 * (3 * _COLUMNS.index(column) + row)  # entry (row, column) is part 3*s + r
-        num[k : k + 2] = value._p, value._q
-    return CyclicMatrix._make(num, value._d)
+        k = 2 * (3 * _COLUMN_INDEX[column] + row)  # entry (row, column) is part 3*s + r
+        num[k : k + 2] = p, q
+    return CyclicMatrix._make(num, d)
 
 
 def find_square_roots(target: CyclicMatrix, candidates: Iterable[CyclicMatrix]) -> list[CyclicMatrix]:

@@ -23,6 +23,25 @@ _COMPONENTS = ("component a", "component b", "component c")  # entry names in er
 _COMPLEX_DIGITS = 12  # decimal places `from_complex` keeps of each part
 
 
+def _norm_sq(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int, den: int) -> ExactScalar:
+    """a^2 + b^2 + c^2 - ab - ac - bc of the parts ``(p + q*sqrt3) / den``."""
+    # with u = a - b and v = b - c it is u^2 + u*v + v^2
+    up, uq, vp, vq = pa - pb, qa - qb, pb - pc, qb - qc
+    return _normalised(
+        up * up + vp * vp + up * vp + 3 * (uq * uq + vq * vq + uq * vq),
+        2 * (up * uq + vp * vq) + up * vq + uq * vp,
+        den * den,
+    )
+
+
+def _complex(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int, den: int) -> complex:
+    """a + b*w + c*w^2 of the parts ``(p + q*sqrt3) / den``, as floats."""
+    # re = a - (b + c)/2 and im = (b - c)*sqrt3/2, both over 2*den
+    re = _normalised(2 * pa - pb - pc, 2 * qa - qb - qc, 2 * den)
+    im = _normalised(3 * (qb - qc), pb - pc, 2 * den)
+    return complex(float(re), float(im))
+
+
 class CyclicTriple(CyclicElement):
     """Nonnegative ``(a, b, c)`` with cyclic multiplication."""
 
@@ -72,14 +91,7 @@ class CyclicTriple(CyclicElement):
         Invariant under adding constant vectors, multiplicative, and zero
         exactly when a = b = c.
         """
-        # with u = a - b and v = b - c it is u^2 + u*v + v^2
-        pa, qa, pb, qb, pc, qc = self._num
-        up, uq, vp, vq = pa - pb, qa - qb, pb - pc, qb - qc
-        return _normalised(
-            up * up + vp * vp + up * vp + 3 * (uq * uq + vq * vq + uq * vq),
-            2 * (up * uq + vp * vq) + up * vq + uq * vp,
-            self._den * self._den,
-        )
+        return _norm_sq(*self._num, self._den)
 
     def norm(self) -> float:
         square = self.norm_sq()
@@ -98,11 +110,7 @@ class CyclicTriple(CyclicElement):
         return self._make((pa, qa, pc, qc, pb, qb), self._den)
 
     def to_complex(self) -> complex:
-        # re = a - (b + c)/2 and im = (b - c)*sqrt3/2, both over 2d
-        pa, qa, pb, qb, pc, qc = self._num
-        re = _normalised(2 * pa - pb - pc, 2 * qa - qb - qc, 2 * self._den)
-        im = _normalised(3 * (qb - qc), pb - pc, 2 * self._den)
-        return complex(float(re), float(im))
+        return _complex(*self._num, self._den)
 
     def __str__(self) -> str:
         return "t{{{},{},{}}}".format(*self.components)

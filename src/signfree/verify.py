@@ -62,7 +62,7 @@ def _rand_pair(rng: random.Random) -> UnsignedPair:
 
 
 def _rand_digit(rng: random.Random) -> int:
-    return rng.randint(0, 9)
+    return rng.randrange(10)  # the draw of randint(0, 9), one call shorter
 
 
 def _rand_triple(rng: random.Random) -> CyclicTriple:

@@ -12,9 +12,13 @@ for the core's generated straight-line product, and the old per-entry
 construction path the reference for its checked construction.
 """
 
+import cmath
 import math
 import random
+import sys
+from enum import IntEnum
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -272,6 +276,27 @@ def bits(values):
     return [(z.real.hex(), z.imag.hex()) for z in values]
 
 
+def float_view(view):
+    """The bits of `view()`'s complex values, or its OverflowError as (type, text)."""
+    try:
+        values = view()
+    except OverflowError as err:
+        return type(err), str(err)
+    return bits(values if isinstance(values, tuple) else [values])
+
+
+def ref_characters_view(cols):
+    """`ref_characters` as `float_view` shows it: finite columns whose
+    characters leave the float range raise, as `characters()` does."""
+    try:
+        chars = ref_characters(cols)
+    except OverflowError as err:
+        return type(err), str(err)
+    if not all(map(cmath.isfinite, chars)):
+        return OverflowError, "characters too large for a float"
+    return bits(chars)
+
+
 def check_views(name, bx, x, where):
     """Accessors, float views and norms of `bx` against the parts `x`."""
     assert bx.is_reduced == ref_is_reduced(name, x), where
@@ -286,7 +311,7 @@ def check_views(name, bx, x, where):
         sums = ref_add(ref_add(x[0], x[1]), x[2])
         assert bx.row_sums().components == sums, where
         assert str(bx.norm_sq()) == str(ref_norm_sq(sums)), where
-        assert bits(bx.characters()) == bits(ref_characters(x)), where
+        assert float_view(bx.characters) == ref_characters_view(x), where
         return
     components = bx.components
     assert all(type(part) is ExactScalar for part in components), where
@@ -294,7 +319,7 @@ def check_views(name, bx, x, where):
     if name == "triple":
         assert (bx.a, bx.b, bx.c) == x, where
         assert str(bx.norm_sq()) == str(ref_norm_sq(x)), where
-        assert bits([bx.to_complex()]) == bits([ref_to_complex(x)]), where
+        assert float_view(bx.to_complex) == float_view(lambda: ref_to_complex(x)), where
     else:
         assert (bx.plus, bx.minus) == x and bx.to_signed() == x[0] - x[1], where
 
@@ -332,6 +357,12 @@ MIXED = [
 # sixths and their cancelling partners: a product or scaling loses the denominator
 SIXTHS = [ExactScalar(Fraction(1, 6)), ExactScalar(Fraction(1, 2)), ExactScalar(0, Fraction(1, 3)), _ZERO]
 CANCELLERS = [ExactScalar(6), ExactScalar(12), ExactScalar(0, 2), _ZERO]
+# entries a float holds alone, whose sums, sqrt3 multiples and products leave the float range
+_FLOAT_MAX = int(sys.float_info.max)
+NEAR_FLOAT_MAX = [
+    ExactScalar(_FLOAT_MAX), ExactScalar(0, _FLOAT_MAX // 2), ExactScalar(_FLOAT_MAX, -(_FLOAT_MAX // 2)),
+    ExactScalar(Fraction(_FLOAT_MAX, 3)), ExactScalar(1, 1), _ZERO,
+]
 
 
 def draw_parts(rng, name, pool):
@@ -354,6 +385,13 @@ def edge_operands(name):
     yield "zero times zero", zero, zero, _ZERO
     for i in range(12):
         yield f"random {i}", rand_parts(rng, name), rand_parts(rng, name), rand_entry(rng)
+    opposite = [*SIGN_EDGES, _ZERO]  # positive entries whose halves have opposite signs
+    for i in range(8):
+        x, y = draw_parts(rng, name, opposite), draw_parts(rng, name, opposite)
+        yield f"opposite halves {i}", x, y, rng.choice(SIGN_EDGES)
+    for i in range(8):
+        x, y = draw_parts(rng, name, NEAR_FLOAT_MAX), draw_parts(rng, name, NEAR_FLOAT_MAX)
+        yield f"near float max {i}", x, y, rng.choice(SIGN_EDGES)
     if name == "matrix":
         units = list(UNIT_PARTS.values())
         for i, unit in enumerate(units):
@@ -463,13 +501,30 @@ def ref_rotation_zero(selector, xi):
 
 # positive values whose rational and sqrt3 parts have opposite signs
 SIGN_EDGES = [ExactScalar(-1, 1), ExactScalar(Fraction(-5, 3), 1), ExactScalar(Fraction(1, 2), Fraction(-1, 4))]
+
+
+class Digit(IntEnum):
+    """An int subclass, which the boundary reads as an int, not by its type."""
+
+    NEG = -3
+    ZERO = 0
+    SEVEN = 7
+
+
+_HUGE = 2**200
+# entries read apart from the plain int and Fraction ones: bools, an int
+# subclass, and ints and Fractions past a machine word
+TYPE_EDGES = [True, False, Digit.SEVEN, Digit.ZERO, _HUGE, Fraction(_HUGE, 3**50), Fraction(3**50, _HUGE)]
 # entries every constructor refuses, one at a time
-BAD_ENTRIES = [-1, Fraction(-1, 6), "-0.75", ExactScalar(1, -1), ExactScalar(Fraction(-7, 4), 1), 1.5, "1/x"]
+BAD_ENTRIES = [
+    -1, Fraction(-1, 6), "-0.75", ExactScalar(1, -1), ExactScalar(Fraction(-7, 4), 1), 1.5, "1/x",
+    -_HUGE, Fraction(-_HUGE, 3**50), Digit.NEG, None,
+]
 
 
 def raw_entry(rng):
-    """An outside entry: an int, Fraction, numeric str or scalar, mixed denominators."""
-    kind = rng.randrange(5)
+    """An outside entry: an int, Fraction, numeric str, scalar or type edge, mixed denominators."""
+    kind = rng.randrange(6)
     if kind == 0:
         return rng.randint(0, 9)
     if kind == 1:
@@ -478,7 +533,9 @@ def raw_entry(rng):
         return rng.choice((f"{rng.randint(0, 9)}/{rng.randint(1, 12)}", f"{rng.randint(0, 99) / 20}"))
     if kind == 3:
         return rand_entry(rng)
-    return rng.choice(SIGN_EDGES)
+    if kind == 4:
+        return rng.choice(SIGN_EDGES)
+    return rng.choice(TYPE_EDGES)
 
 
 def raw_entries(rng, n):
@@ -525,24 +582,80 @@ def construction_cases(name, rng):
     yield "rotation_zero", lambda: rotation_zero(selector, xi), lambda: ref_rotation_zero(selector, xi)
 
 
+def check_construction(name, build, reference, where):
+    """`build()` gives `reference()`'s payload, str and repr, or raises its error with its text."""
+    try:
+        parts, payload = reference()
+    except (TypeError, ValueError) as err:
+        with pytest.raises(type(err)) as got:
+            build()
+        assert str(got.value) == str(err), where
+        return
+    value = build()
+    assert (value._num, value._den) == payload, where
+    assert all(type(n) is int for n in (*value._num, value._den)), where  # no bool or int subclass kept
+    assert str(value) == SYSTEMS[name][6](parts), where
+    assert repr(value) == ref_repr(name, parts), where
+
+
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_construction_matches_old_path(name):
-    show = SYSTEMS[name][6]
     for seed in SEEDS:
         rng = random.Random(f"construct:{name}:{seed}")
         for label, build, reference in construction_cases(name, rng):
-            where = f"{name} seed {seed} {label}"
-            try:
-                parts, payload = reference()
-            except (TypeError, ValueError) as err:
-                with pytest.raises(type(err)) as got:
-                    build()
-                assert str(got.value) == str(err), where
-                continue
-            value = build()
-            assert (value._num, value._den) == payload, where
-            assert str(value) == show(parts), where
-            assert repr(value) == ref_repr(name, parts), where
+            check_construction(name, build, reference, f"{name} seed {seed} {label}")
+
+
+def test_each_bad_entry_is_refused_in_each_position():
+    good = [3, Fraction(1, 2), "0.25", ExactScalar(0, 1), True, Digit.SEVEN, _HUGE, Fraction(_HUGE, 3**50), 0]
+    for bad in BAD_ENTRIES:
+        for i in range(9):
+            x = good[:i] + [bad] + good[i + 1 :]
+            rows, pair, triple = [x[r::3] for r in range(3)], x[:2], x[:3]
+            cases = [
+                ("matrix", lambda: CyclicMatrix.from_rows(rows), lambda: ref_from_rows(rows)),
+                ("matrix", lambda: CyclicMatrix(x[0:3], x[3:6], x[6:9]), lambda: ref_from_rows(rows)),
+            ]
+            if i < 3:
+                cases += [
+                    ("triple", lambda: CyclicTriple(*triple), lambda: ref_vector(triple, _TRIPLE_NAMES)),
+                    ("matrix", lambda: absolute_zero(*triple), lambda: ref_absolute_zero(*triple)),
+                ]
+            if i < 2:
+                cases.append(("pair", lambda: UnsignedPair(*pair), lambda: ref_vector(pair, _PAIR_NAMES)))
+            for name, build, reference in cases:
+                check_construction(name, build, reference, f"{bad!r} at {i}")
+        if isinstance(bad, (int, Fraction, str, ExactScalar)):  # a scale factor of another type is no product
+            for one in (UnsignedPair.one(), CyclicTriple.one(), CyclicMatrix.one()):
+                with pytest.raises(ValueError) as got:
+                    one * bad
+                with pytest.raises(ValueError) as ref:
+                    ref_require_nonneg(bad, "scale factor")
+                assert str(got.value) == str(ref.value), bad
+
+
+# rotation zero entries: each type, zero, negative, and both signs of
+# rational and sqrt3 halves; the negative sums and 1.5 are refused
+XIS = [
+    0, 3, -2, _HUGE, True, False, Digit.SEVEN, Digit.NEG,
+    Fraction(7, 3), Fraction(-1, 2), Fraction(0), Fraction(_HUGE, 3**50),
+    "5/4", "-0.5", "0", "2.25",
+    ExactScalar(0), ExactScalar(2, 1), ExactScalar(0, Fraction(1, 3)), ExactScalar(0, -1),
+    ExactScalar(-1, 1), ExactScalar(2, -1), ExactScalar(1, -1), ExactScalar(-2, 1), 1.5,
+]
+
+
+def test_rotation_zero_matches_reference_for_each_entry():
+    for xi in XIS:
+        for selector in RowSelector.all():
+            build, reference = lambda: rotation_zero(selector, xi), lambda: ref_rotation_zero(selector, xi)
+            check_construction("matrix", build, reference, f"{selector} xi={xi!r}")
+
+
+def test_row_selectors_are_the_27_patterns_in_order():
+    fresh = tuple(RowSelector(*choice) for choice in product("ABC", repeat=3))
+    assert RowSelector.all() == fresh
+    assert [str(s) for s in RowSelector.all()] == [str(s) for s in fresh]
 
 
 # The product the generated straight-line code replaced: one loop over an

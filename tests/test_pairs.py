@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from signfree import ExactScalar, UnsignedPair
 
-nonneg = st.fractions(min_value=0, max_value=9, max_denominator=4)
+# int numerators over a drawn denominator: the values of
+# st.fractions(0, 9, max_denominator=4), in about a third of the time
+nonneg = st.integers(1, 4).flatmap(lambda d: st.integers(0, 9 * d).map(lambda n: Fraction(n, d)))
 pairs = st.builds(UnsignedPair, nonneg, nonneg)
 
 
