@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -86,18 +87,25 @@ MUTANTS = {
 }
 
 
-def test_mutant_reports_match_golden(monkeypatch):
-    """Every report under each mutant, byte for byte as the per-system checkers gave it."""
+def _mutant_reports(monkeypatch, samples, seed):
+    """mutant -> {check name: report} from `run_checks` with that mutant installed."""
     reports = {}
     for mutant, install in MUTANTS.items():
         with monkeypatch.context() as mp:
             install(mp)
-            reports[mutant] = {r.name: r for r in run_checks(samples=20, seed=1)}
-    text = "".join(
-        f"{mutant}\t{r.name}\t{r.samples}\t{r.failures}\t{r.detail}\n"
-        for mutant, results in reports.items()
-        for r in results.values()
-    )
+            reports[mutant] = {r.name: r for r in run_checks(samples=samples, seed=seed)}
+    return reports
+
+
+def _mutant_lines(mutant, results):
+    """One mutant's reports in the line format of verify-mutants.txt."""
+    return "".join(f"{mutant}\t{r.name}\t{r.samples}\t{r.failures}\t{r.detail}\n" for r in results.values())
+
+
+def test_mutant_reports_match_golden(monkeypatch):
+    """Every report under each mutant, byte for byte as the per-system checkers gave it."""
+    reports = _mutant_reports(monkeypatch, samples=20, seed=1)
+    text = "".join(_mutant_lines(mutant, results) for mutant, results in reports.items())
     assert text.encode() == (GOLDEN / "verify-mutants.txt").read_bytes()
     # together the mutants fail every shared law
     merged = [f"{system}-ring-laws" for system in ("pair", "triple", "matrix")] + [
@@ -111,6 +119,26 @@ def test_mutant_reports_match_golden(monkeypatch):
     # the random comparisons take no unit, so both family patterns failed
     oracle = reports["j-jj-swapped"]["character-oracle"]
     assert oracle.failures == 2 and oracle.detail.startswith("plus-family patterns: ")
+
+
+# sha256 of each mutant's reports at samples=200, seed=42, in the verify-mutants.txt
+# line format: about ten times the draws of the golden above
+MUTANT_DIGESTS_200 = {
+    "pair-extra-term": "205ca1a5e25c83e239cd25582e380ff5e43e1052428168bee47168dd55351ae7",
+    "triple-extra-term": "e480938892214a5b77605139bcb4ede9349daaf39cfc2f8622b14e0fb8e055dc",
+    "matrix-extra-term": "73ff2939662a1e62ab88ea87805762745e5d7d1071c19106184a63f9ee9d1b64",
+    "scalar-off-by-one": "e0af65d6f4b9041f9c7d711d6a1cc0890221607852a27d05f7c491d2a5b72163",
+    "j-jj-swapped": "4c59ada9ebad4c6e74f48c02c7925c839aa19f8494bfe6cf96601dc85bce54c9",
+}
+
+
+def test_mutant_reports_match_pinned_digests(monkeypatch):
+    reports = _mutant_reports(monkeypatch, samples=200, seed=42)
+    digests = {
+        mutant: hashlib.sha256(_mutant_lines(mutant, results).encode()).hexdigest()
+        for mutant, results in reports.items()
+    }
+    assert digests == MUTANT_DIGESTS_200
 
 
 def test_triple_ring_laws_check_closure(monkeypatch):
