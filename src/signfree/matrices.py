@@ -86,6 +86,12 @@ class RowSelector:
 _SELECTORS = tuple(RowSelector(*choice) for choice in _iter_product(_COLUMNS, repeat=3))
 
 
+def _row_sum_ints(num: tuple) -> "tuple[int, ...]":
+    """The six ints of the row sums of a matrix's 18 payload ints."""
+    a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5, c0, c1, c2, c3, c4, c5 = num  # columns A, B, C
+    return a0 + b0 + c0, a1 + b1 + c1, a2 + b2 + c2, a3 + b3 + c3, a4 + b4 + c4, a5 + b5 + c5
+
+
 def _column_payload(value: object, which: str) -> "tuple[tuple, int]":
     if isinstance(value, CyclicTriple):
         return value._num, value._den
@@ -142,12 +148,10 @@ class CyclicMatrix(CyclicElement):
 
     def row_sums(self) -> CyclicTriple:
         """The triple of row sums; an exact homomorphism onto triples."""
-        num = self._num
-        return CyclicTriple._make([num[k] + num[k + 6] + num[k + 12] for k in range(6)], self._den)
+        return CyclicTriple._make(_row_sum_ints(self._num), self._den)
 
     def norm_sq(self) -> ExactScalar:
-        num = self._num  # the row sums' ints, with no triple built
-        return _norm_sq(*[num[k] + num[k + 6] + num[k + 12] for k in range(6)], self._den)
+        return _norm_sq(*_row_sum_ints(self._num), self._den)  # no triple built
 
     def norm(self) -> float:
         return self.row_sums().norm()

@@ -5,6 +5,9 @@ from the run seed plus the check name, so reports are reproducible) and
 records into its own `CheckResult`: `expect` counts each failed law and
 keeps the description of the first.  Algebraic laws are asserted with
 exact arithmetic.
+Samples are drawn straight into payload ints by the same RNG calls as
+entry-by-entry `_rand_nonneg` draws, so no `Fraction` is built and no
+`checked_payload` runs: the entries are nonnegative by construction.
 `TOLERANCE` (1e-9) is for the checks that go through floating point on
 purpose: the triple -> complex homomorphism, norm vs complex modulus,
 the triangle inequality, the complex and triple round trips, sign vs
@@ -17,6 +20,7 @@ unit-family patterns) is written once and applied per system in `_CHECKS`.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +45,7 @@ __all__ = ["CheckResult", "CHECK_NAMES", "run_checks", "TOLERANCE"]
 TOLERANCE = 1e-9
 
 _SMALL_DENOMS = (1, 1, 1, 1, 2, 3, 4)
-_Draw = Callable[[random.Random], object]  # one random entry or element
+_DENOMS_LCM = math.lcm(*_SMALL_DENOMS)
 _Check = Callable[[int, random.Random, "CheckResult"], None]
 
 
@@ -57,22 +61,32 @@ def _rand_scalar(rng: random.Random) -> ExactScalar:
     return ExactScalar(_rand_signed(rng), _rand_signed(rng))
 
 
+def _nonneg_payload(rng: random.Random, parts: int) -> "tuple[list, int]":
+    """The flat ints and denominator of `parts` draws of `_rand_nonneg`, by the
+    same RNG calls in the same order (`randrange(10)` is the draw of `randint(0, 9)`).
+    Each entry is over the lcm of `_SMALL_DENOMS`; `_make` divides out the gcd,
+    and lowest terms are unique, so the element is the same."""
+    den = _DENOMS_LCM
+    num = [n for _ in range(parts) for n in (rng.randrange(10) * (den // rng.choice(_SMALL_DENOMS)), 0)]
+    return num, den
+
+
 def _rand_pair(rng: random.Random) -> UnsignedPair:
-    return UnsignedPair(_rand_nonneg(rng), _rand_nonneg(rng))
-
-
-def _rand_digit(rng: random.Random) -> int:
-    return rng.randrange(10)  # the draw of randint(0, 9), one call shorter
+    return UnsignedPair._make(*_nonneg_payload(rng, 2))
 
 
 def _rand_triple(rng: random.Random) -> CyclicTriple:
-    return CyclicTriple(_rand_nonneg(rng), _rand_nonneg(rng), _rand_nonneg(rng))
+    return CyclicTriple._make(*_nonneg_payload(rng, 3))
 
 
-def _rand_matrix(rng: random.Random, entry: _Draw = _rand_nonneg) -> CyclicMatrix:
-    # drawn column A top to bottom, then B, then C
-    columns = [[entry(rng) for _ in range(3)] for _ in range(3)]
-    return CyclicMatrix.from_rows(zip(*columns))
+def _rand_matrix(rng: random.Random) -> CyclicMatrix:
+    # drawn in part order: column A top to bottom, then B, then C
+    return CyclicMatrix._make(*_nonneg_payload(rng, 9))
+
+
+def _rand_digit_matrix(rng: random.Random) -> CyclicMatrix:
+    # each entry the draw of randint(0, 9), in part order
+    return CyclicMatrix._make([n for _ in range(9) for n in (rng.randrange(10), 0)], 1)
 
 
 @dataclass
@@ -94,7 +108,7 @@ class CheckResult:
                 self.detail = describe()
 
 
-def _ring_laws(draw: _Draw, reducible: bool = False) -> _Check:
+def _ring_laws(draw: Callable[[random.Random], object], reducible: bool = False) -> _Check:
     """The commutative ring laws on random x, y, z; a `reducible` system
     (pairs and triples) is also checked for `reduce()` and closure."""
 
@@ -116,7 +130,9 @@ def _ring_laws(draw: _Draw, reducible: bool = False) -> _Check:
     return check
 
 
-def _homomorphism(draw: _Draw, image: Callable, same: Callable[..., bool], label: str = "") -> _Check:
+def _homomorphism(
+    draw: Callable[[random.Random], object], image: Callable, same: Callable[..., bool], label: str = ""
+) -> _Check:
     """That `image` carries products and sums of random x, y to products
     and sums, as told by `same`."""
 
@@ -231,7 +247,7 @@ def _check_rotation_zeros(n: int, rng: random.Random, rec: CheckResult) -> None:
                 lambda: f"rotation zero norm: {selector} xi={xi}",
             )
             for _ in range(n):
-                m = _rand_matrix(rng, _rand_digit)
+                m = _rand_digit_matrix(rng)
                 rec.expect(
                     (m * zero).norm_sq().sign() == 0,
                     lambda: f"product absorbs to norm zero: {m}, {selector}",

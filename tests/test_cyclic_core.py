@@ -8,8 +8,10 @@ columns.  The core holds ints over one shared denominator instead.
 Raw, unreduced results must print identically, since printed output
 includes raw components, and the float views must agree bit for bit.
 Further down, the loop `convolve` over an index table is the reference
-for the core's generated straight-line product, and the old per-entry
-construction path the reference for its checked construction.
+for the core's generated straight-line product, the old per-entry
+construction path the reference for its checked construction, and
+comprehensions over the payload ints the reference for a matrix's row
+sums and norm.
 """
 
 import cmath
@@ -35,6 +37,7 @@ from signfree import (
     rotation_zero,
 )
 from signfree._cyclic import CyclicElement
+from signfree.triples import _norm_sq
 from signfree.units import _UNIT_DEFS
 
 SEEDS = range(200)
@@ -809,3 +812,40 @@ def test_each_class_owns_a_distinct_copy_of_each_shared_entry():
         assert len({id(f) for f in functions}) == len(classes), entry
         assert all(f.__code__ is vars(CyclicElement)[entry].__code__ for f in functions), entry
     assert all(vars(cls)["__rmul__"] is vars(cls)["__mul__"] for cls in classes)
+
+
+# The comprehensions over a matrix's payload ints that `matrices._row_sum_ints`
+# replaced in `row_sums` and `norm_sq`.
+
+
+def ref_row_sums(m):
+    num = m._num
+    return CyclicTriple._make([num[k] + num[k + 6] + num[k + 12] for k in range(6)], m._den)
+
+
+def ref_matrix_norm_sq(m):
+    num = m._num
+    return _norm_sq(*[num[k] + num[k + 6] + num[k + 12] for k in range(6)], m._den)
+
+
+def row_sum_entry(rng, size):
+    """A nonnegative entry (p + q*sqrt3)/d, d up to 12, rational, a multiple
+    of sqrt3 or both, with ints up to `size`."""
+    d, kind = rng.randint(1, 12), rng.randrange(3)
+    q = 0 if kind == 0 else rng.randint(0 if kind == 1 else -size, size)
+    p = 0 if kind == 1 else 2 * abs(q) + rng.randint(0, size)
+    return ExactScalar(Fraction(p, d), Fraction(q, d))
+
+
+def test_row_sums_and_norm_match_comprehensions():
+    rng = random.Random("row sums")
+    matrices = list(UNIT_VALUES.values()) + [rotation_zero(s, Fraction(7, 3)) for s in RowSelector.all()]
+    for seed in range(600):
+        size = _HUGE if seed % 3 == 0 else 9
+        matrices.append(CyclicMatrix.from_rows([[row_sum_entry(rng, size) for _ in range(3)] for _ in range(3)]))
+    for i, m in enumerate(matrices):
+        sums, ref = m.row_sums(), ref_row_sums(m)
+        assert type(sums) is CyclicTriple and (sums._num, sums._den) == (ref._num, ref._den), i
+        norm, ref_norm = m.norm_sq(), ref_matrix_norm_sq(m)
+        assert type(norm) is ExactScalar, i
+        assert (norm._p, norm._q, norm._d) == (ref_norm._p, ref_norm._q, ref_norm._d), i

@@ -1,4 +1,6 @@
 import hashlib
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from signfree import (
     UnsignedPair,
     run_checks,
 )
+from signfree.verify import _rand_digit_matrix, _rand_matrix, _rand_pair, _rand_triple
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +49,47 @@ def test_sample_scaling():
 def test_rejects_nonpositive_samples():
     with pytest.raises(ValueError):
         run_checks(samples=0)
+
+
+# The draws the payload draws replaced, entry by entry through the public
+# constructors: the reference for `test_draws_match_entry_by_entry_draws`.
+
+_REF_DENOMS = (1, 1, 1, 1, 2, 3, 4)
+
+
+def ref_rand_nonneg(rng):
+    return Fraction(rng.randint(0, 9), rng.choice(_REF_DENOMS))
+
+
+def ref_rand_digit(rng):
+    return rng.randrange(10)
+
+
+def ref_rand_matrix(rng, entry):
+    columns = [[entry(rng) for _ in range(3)] for _ in range(3)]  # A top to bottom, then B, then C
+    return CyclicMatrix.from_rows(zip(*columns))
+
+
+# name -> (draw, reference draw)
+DRAWS = {
+    "pair": (_rand_pair, lambda rng: UnsignedPair(ref_rand_nonneg(rng), ref_rand_nonneg(rng))),
+    "triple": (_rand_triple, lambda rng: CyclicTriple(*(ref_rand_nonneg(rng) for _ in range(3)))),
+    "matrix": (_rand_matrix, lambda rng: ref_rand_matrix(rng, ref_rand_nonneg)),
+    "digit-matrix": (_rand_digit_matrix, lambda rng: ref_rand_matrix(rng, ref_rand_digit)),
+}
+DRAW_SEEDS = range(2000)
+
+
+@pytest.mark.parametrize("name", DRAWS)
+def test_draws_match_entry_by_entry_draws(name):
+    """The same element, payload for payload, and the generator left in the same state."""
+    draw, reference = DRAWS[name]
+    for seed in DRAW_SEEDS:
+        rng, ref_rng = random.Random(f"{name}:{seed}"), random.Random(f"{name}:{seed}")
+        for k in range(3):
+            x, ref = draw(rng), reference(ref_rng)
+            assert type(x) is type(ref) and (x._num, x._den) == (ref._num, ref._den), (seed, k)
+            assert rng.getstate() == ref_rng.getstate(), (seed, k)
 
 
 def _extra_term(cls):
