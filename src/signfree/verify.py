@@ -5,9 +5,9 @@ from the run seed plus the check name, so reports are reproducible) and
 records into its own `CheckResult`: `expect` counts each failed law and
 keeps the description of the first.  Algebraic laws are asserted with
 exact arithmetic.
-Samples are drawn straight into payload ints by the same RNG calls as
-entry-by-entry `_rand_nonneg` draws, so no `Fraction` is built and no
-`checked_payload` runs: the entries are nonnegative by construction.
+Pair, triple and matrix samples are drawn straight into payload ints by
+the RNG calls of entry-by-entry `_rand_nonneg` draws, so no `Fraction` is
+built and no `checked_payload` runs: the entries are nonnegative by construction.
 `TOLERANCE` (1e-9) is for the checks that go through floating point on
 purpose: the triple -> complex homomorphism, norm vs complex modulus,
 the triangle inequality, the complex and triple round trips, sign vs
