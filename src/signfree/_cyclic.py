@@ -9,10 +9,14 @@ from it as unrolled code (`straight_line_product`): one function
 with no loop, so the table stays the only source of the formula.  It
 tests which halves of each operand (rational or sqrt3 ints) are zero
 and, when each operand has one, returns the one unrolled sum left,
-else the full expression.  The loop over the table that this replaced
-is kept in ``tests/test_cyclic_core.py`` as the reference.  It is the
-only multiply of elements: a scale factor is the element with the
-factor at part 0, the identity of G, and zeros elsewhere.
+else the full expression.  It is the only multiply of elements: a
+scale factor is the element with the factor at part 0, the identity
+of G, and zeros elsewhere.  Each shape's `_make`, which builds every
+result in lowest terms, and `_key`, its equality key, are generated
+the same way (`straight_line_make`, `straight_line_key`): the ints
+unpacked by name, one gcd, and a divide written out for each int.
+The loops these replaced are kept in ``tests/test_cyclic_core.py`` as
+the reference.
 
 An element holds its n parts as one flat tuple of ints
 ``(p0, q0, p1, q1, ...)`` over one shared denominator ``d > 0``: part i
@@ -36,9 +40,9 @@ constructor and every scale factor passes its entries through
 int or Fraction by its type), tests its sign once and joins the
 entries over one denominator.  Sums, products and reductions of
 nonnegative parts stay nonnegative, so results are built unchecked by
-:meth:`CyclicElement._make`.  ``*``, ``**``, ``==``, ``hash`` and `reduce()`
-are written once, here, and each public class gets its own copy of them,
-so per-class instrumentation (``bench/tracing.py``) can wrap each apart.
+the class's ``_make``.  ``*``, ``**``, ``==``, ``hash`` and `reduce()` are
+written once, here, and each public class gets its own copy of them, so
+per-class instrumentation (``bench/tracing.py``) can wrap each apart.
 """
 
 from __future__ import annotations
@@ -102,8 +106,8 @@ def straight_line_product(table: tuple, name: str) -> "Callable[[tuple, tuple], 
 
     source = (
         "def product(x, y):\n"
-        f"    {''.join(f'x{i}, ' for i in range(size))}= x\n"
-        f"    {''.join(f'y{i}, ' for i in range(size))}= y\n"
+        f"    {_names('x', size)}= x\n"
+        f"    {_names('y', size)}= y\n"
         f"    if not ({nonzero('x', 1)}):\n"  # x rational
         f"        if not ({nonzero('y', 1)}):\n"
         f"            return {parts(pp, zeros)}\n"
@@ -116,9 +120,63 @@ def straight_line_product(table: tuple, name: str) -> "Callable[[tuple, tuple], 
         f"            return {parts(three_qq, zeros)}\n"
         f"    return {parts(full_p, full_q)}\n"
     )
-    namespace: dict = {}
-    exec(compile(source, f"<signfree {name} product>", "exec"), namespace)
-    return namespace["product"]
+    return _compiled(source, name, "product")
+
+
+def straight_line_make(size: int, name: str) -> "Callable[..., CyclicElement]":
+    """`_make(cls, num, den)` for elements of `size` flat ints, as one
+    generated function compiled under ``<signfree NAME make>``.
+
+    It unpacks ``num``, takes one gcd of its ints and ``den``, and when
+    that is not 1 divides each of them by it, written out.
+    """
+    ints = _names("x", size)
+    source = (
+        "def make(cls, num, den):\n"
+        f"    {ints}= num\n"
+        f"    g = gcd({ints}den)\n"
+        "    element = new(cls)\n"
+        "    if g == 1:\n"
+        f"        element._num = ({ints})\n"
+        "        element._den = den\n"
+        "    else:\n"
+        f"        element._num = ({_names('x', size, ' // g')})\n"
+        "        element._den = den // g\n"
+        "    return element\n"
+    )
+    return _compiled(source, name, "make")
+
+
+def straight_line_key(size: int, pairs: list, name: str) -> "Callable[[CyclicElement], tuple]":
+    """`_key(self)` as one generated function compiled under
+    ``<signfree NAME key>``: the differences ``x[i] - x[j]`` over `pairs`
+    and the denominator, divided by their gcd when it is not 1."""
+    diffs = _names("k", len(pairs))
+    source = (
+        "def key(self):\n"
+        f"    {_names('x', size)}= self._num\n"
+        "    den = self._den\n"
+        + "".join(f"    k{n} = x{i} - x{j}\n" for n, (i, j) in enumerate(pairs))
+        + f"    g = gcd({diffs}den)\n"
+        "    if g == 1:\n"
+        f"        return ({diffs}), den\n"
+        f"    return ({_names('k', len(pairs), ' // g')}), den // g\n"
+    )
+    return _compiled(source, name, "key")
+
+
+def _names(prefix: str, count: int, suffix: str = "") -> str:
+    """`count` numbered names, each with `suffix` and a comma: ``x0, x1, ``
+    or, with the suffix `` // g``, ``x0 // g, x1 // g, ``."""
+    return "".join(f"{prefix}{i}{suffix}, " for i in range(count))
+
+
+def _compiled(source: str, name: str, what: str) -> Callable:
+    """The function `what` that `source` defines, compiled under the
+    filename ``<signfree NAME WHAT>``."""
+    namespace: dict = {"gcd": math.gcd, "new": object.__new__}
+    exec(compile(source, f"<signfree {name} {what}>", "exec"), namespace)
+    return namespace[what]
 
 
 def join(payloads: "list[tuple[tuple, int]]") -> "tuple[tuple, int]":
@@ -168,7 +226,9 @@ class CyclicElement:
     Subclasses set `_NOUN`, their plural for error texts, and `_ORDERS`,
     the cyclic factors of their group; the last factor's order is the
     length of a run.  Each subclass gets its own copy of the operators and
-    `reduce` below, and defines none of them itself.
+    `reduce` below, and defines none of them itself; its product, `_make`
+    (nonnegative ints over a denominator, to an element in lowest terms)
+    and `_key` are generated for its shape when it is created.
     """
 
     __slots__ = ("_num", "_den")
@@ -181,27 +241,16 @@ class CyclicElement:
         cls._SIZE = size = 2 * math.prod(cls._ORDERS)  # flat ints per element
         cls._ZEROS = (0,) * (size - 2)  # the parts after part 0 of a scale factor
         cls._RUN = run = 2 * cls._ORDERS[-1]  # flat ints per run
+        cls._make = classmethod(straight_line_make(size, name))
         # (i, j): flat int i and the same int (p or q) of its run's first part
-        cls._KEY_PAIRS = tuple(
-            (start + i, start + i % 2) for start in range(0, size, run) for i in range(2, run)
-        )
+        key_pairs = [(start + i, start + i % 2) for start in range(0, size, run) for i in range(2, run)]
+        cls._key = straight_line_key(size, key_pairs, name)
         # bench/tracing.py tells the classes apart by these entries, so each owns a copy
         for name in ("__mul__", "__pow__", "reduce", "__eq__", "__hash__"):
             f = vars(CyclicElement)[name]
             own = types.FunctionType(f.__code__, f.__globals__, name, f.__defaults__, f.__closure__)
             setattr(cls, name, own)
         cls.__rmul__ = cls.__mul__
-
-    @classmethod
-    def _make(cls, num: "tuple | list", den: int) -> "CyclicElement":
-        """An element from nonnegative parts ``num`` over ``den``, in lowest terms."""
-        g = math.gcd(*num, den)
-        element = object.__new__(cls)
-        if g == 1:
-            element._num, element._den = tuple(num), den
-        else:
-            element._num, element._den = tuple([n // g for n in num]), den // g
-        return element
 
     @classmethod
     def zero(cls) -> "CyclicElement":
@@ -280,16 +329,6 @@ class CyclicElement:
     def is_reduced(self) -> bool:
         # the core's own function: a tracer may wrap the class's copy, and counts calls to it
         return CyclicElement.reduce(self)._num == self._num
-
-    def _key(self) -> tuple:
-        """Each run's parts less its first part, over ``d`` in lowest terms:
-        equal exactly for equivalent elements."""
-        num = self._num
-        diffs = [num[i] - num[j] for i, j in self._KEY_PAIRS]
-        g = math.gcd(*diffs, self._den)
-        if g != 1:
-            diffs = [n // g for n in diffs]
-        return tuple(diffs), self._den // g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):

@@ -23,15 +23,21 @@ _COMPONENTS = ("component a", "component b", "component c")  # entry names in er
 _COMPLEX_DIGITS = 12  # decimal places `from_complex` keeps of each part
 
 
-def _norm_sq(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int, den: int) -> ExactScalar:
-    """a^2 + b^2 + c^2 - ab - ac - bc of the parts ``(p + q*sqrt3) / den``."""
+def _norm_sq_ints(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int, den: int) -> "tuple[int, int, int]":
+    """a^2 + b^2 + c^2 - ab - ac - bc of the parts ``(p + q*sqrt3) / den``,
+    as ``(p, q, d)`` ints with ``d > 0``, not in lowest terms."""
     # with u = a - b and v = b - c it is u^2 + u*v + v^2
     up, uq, vp, vq = pa - pb, qa - qb, pb - pc, qb - qc
-    return _normalised(
+    return (
         up * up + vp * vp + up * vp + 3 * (uq * uq + vq * vq + uq * vq),
         2 * (up * uq + vp * vq) + up * vq + uq * vp,
         den * den,
     )
+
+
+def _norm_sq(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int, den: int) -> ExactScalar:
+    """`_norm_sq_ints` as an `ExactScalar`."""
+    return _normalised(*_norm_sq_ints(pa, qa, pb, qb, pc, qc, den))
 
 
 def _complex(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int, den: int) -> complex:

@@ -11,12 +11,13 @@ is the plus-one table relabelled U -> -U ((iU)(iV) = -UV), the mixed
 table is it relabelled U -> iU (U(iV) = i*UV), and the root families
 are the units scaled by 3 and 3*sqrt(3).  :func:`verify_unit_table`
 recomputes every cell with exact matrix multiplication and compares
-classes exactly, by their equality keys: each unit's key is taken once
-per table, each product's once, and a product is named by looking its
-key up in a key -> unit map in which the first listed unit wins (two
-units may be equal in a substituted set).  :func:`match_unit` builds
-that map from the units it is given on every call, so it never reads a
-stale copy.
+classes exactly, by their equality keys: each unit's value and key are
+read once per table, each product and its key once per cell, and a
+product is named by looking its key up in a key -> unit map in which
+the first listed unit wins (two units may be equal in a substituted
+set).  :func:`match_unit` builds that map from the units it is given on
+every call, so it never reads a stale copy.  A unit's `label` (its
+value) is a plain str attribute of the member.
 """
 
 from __future__ import annotations
@@ -69,14 +70,13 @@ class UnitName(Enum):
     LL = "l"
     NLL = "-l"
 
-    @property
-    def label(self) -> str:
-        return self.value
+    def __init__(self, label: str) -> None:
+        self.label = label  # the value, as a plain attribute: no descriptor on each read
 
     @classmethod
     def from_label(cls, label: str) -> "UnitName":
         for member in cls:
-            if member.value == label:
+            if member.label == label:
                 return member
         raise ValueError(f"unknown unit label {label!r}")
 
@@ -239,10 +239,12 @@ def verify_unit_table(
     table = TABLES[which]
     values = UNIT_VALUES if units is None else units
     keys, names = _unit_keys(values)
+    columns = [(col, values[col]) for col in table.col_units]  # each unit's value read once
     cells: list[CellCheck] = []
     for row, expected_row in zip(table.row_units, table.cells):
-        for col, expected in zip(table.col_units, expected_row):
-            computed = values[row] * values[col]
+        x = values[row]
+        for (col, y), expected in zip(columns, expected_row):
+            computed = x * y
             key = computed._key()
             cells.append(CellCheck(row, col, expected, computed, names.get(key), key == keys[expected]))
     return TableReport(which, cells)

@@ -39,6 +39,7 @@ from signfree import (
 from signfree._cyclic import CyclicElement
 from signfree.triples import _norm_sq
 from signfree.units import _UNIT_DEFS
+from signfree.verify import _norm_sign
 
 SEEDS = range(200)
 EXPONENTS = range(13)
@@ -849,3 +850,71 @@ def test_row_sums_and_norm_match_comprehensions():
         norm, ref_norm = m.norm_sq(), ref_matrix_norm_sq(m)
         assert type(norm) is ExactScalar, i
         assert (norm._p, norm._q, norm._d) == (ref_norm._p, ref_norm._q, ref_norm._d), i
+        assert _norm_sign(m) == norm.sign(), i  # read from the ints before the gcd
+
+
+# The loop `_make` and `_key` that the generated straight-line ones replaced.
+
+
+def ref_make(cls, num, den):
+    g = math.gcd(*num, den)
+    element = object.__new__(cls)
+    if g == 1:
+        element._num, element._den = tuple(num), den
+    else:
+        element._num, element._den = tuple([n // g for n in num]), den // g
+    return element
+
+
+def ref_key(element, orders):
+    num, run = element._num, 2 * orders[-1]
+    pairs = [(start + i, start + i % 2) for start in range(0, len(num), run) for i in range(2, run)]
+    diffs = [num[i] - num[j] for i, j in pairs]
+    g = math.gcd(*diffs, element._den)
+    if g != 1:
+        diffs = [n // g for n in diffs]
+    return tuple(diffs), element._den // g
+
+
+def make_key_cases(rng, orders):
+    """(ints, den) payloads: zeros, small and huge ints, a common factor
+    with den (the make gcd > 1), and runs that differ from a constant by
+    multiples of a factor of den (the key gcd > 1), with dens up to 12."""
+    size, run = 2 * math.prod(orders), 2 * orders[-1]
+    cases = [([0] * size, d) for d in range(1, 13)]
+    for seed in range(600):
+        top = _HUGE if seed % 3 == 0 else 9
+        den = rng.randint(1, 12)
+        num = [rng.randint(0, top) if rng.random() < 0.7 else 0 for _ in range(size)]
+        kind = seed % 4
+        if kind == 1:  # a common factor of the ints and den
+            f = rng.randint(2, 12)
+            num, den = [n * f for n in num], den * f
+        elif kind == 2:  # each run a constant plus multiples of a factor of den
+            f = rng.randint(2, 12)
+            bases = [rng.randint(0, top) for _ in range(size // run * 2)]
+            num = [bases[k // run * 2 + k % 2] + f * n for k, n in enumerate(num)]
+            den = f * rng.randint(1, 12 // f)
+        elif kind == 3:  # both
+            f, h = rng.randint(2, 6), rng.randint(2, 6)
+            bases = [rng.randint(0, top) for _ in range(size // run * 2)]
+            num = [h * (bases[k // run * 2 + k % 2] + f * n) for k, n in enumerate(num)]
+            den = h * f * rng.randint(1, 2)
+        cases.append((num, den))
+    return cases
+
+
+@pytest.mark.parametrize("name", PRODUCT_SHAPES)
+def test_generated_make_and_key_match_loops(name):
+    cls, orders = PRODUCT_SHAPES[name]
+    branches = set()
+    for i, (num, den) in enumerate(make_key_cases(random.Random(f"make and key:{name}"), orders)):
+        for ints in (list(num), tuple(num)):
+            got, ref = cls._make(ints, den), ref_make(cls, ints, den)
+            assert type(got) is cls and type(got._num) is tuple, (name, i)
+            assert (got._num, got._den) == (ref._num, ref._den), (name, i)
+            key = got._key()
+            assert key == ref_key(ref, orders), (name, i)
+        branches.add((ref._den != den, key[1] != got._den))
+    # each of gcd 1 and gcd > 1, in make and in key, together
+    assert branches == {(False, False), (False, True), (True, False), (True, True)}, name

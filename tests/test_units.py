@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from signfree import (
     unit_value,
     verify_unit_table,
 )
-from signfree.cli import run_tables
+from signfree.cli import build_parser, run_tables
 
 
 def test_sixteen_units_exist_and_are_reduced():
@@ -37,6 +39,19 @@ def test_sixteen_units_exist_and_are_reduced():
         assert value.is_reduced
         assert value.reduce() == value
     assert len({unit_value(u) for u in UnitName}) == 16
+
+
+def test_unit_labels_are_plain_str_values():
+    for unit in UnitName:
+        assert unit.label == unit.value and type(unit.label) is str, unit
+        assert UnitName.from_label(unit.label) is unit, unit
+        assert copy.copy(unit) is unit and copy.deepcopy(unit) is unit, unit
+        assert pickle.loads(pickle.dumps(unit)) is unit, unit
+    with pytest.raises(ValueError, match="unknown unit label 'x'"):
+        UnitName.from_label("x")
+    assert build_parser().description.endswith(
+        " (ONE NEG1 J NJ K NK L NL I NI JJ NJJ KK NKK LL NLL for 1 -1 J -J K -K L -L i -i j -j k -k l -l)."
+    )
 
 
 def test_unit_constants_examples():
