@@ -22,6 +22,8 @@ Two families of additive zeros exist:
 ``characters()`` gives three complex fingerprints that are additive and
 multiplicative modulo absolute zeros and separate equivalence classes;
 they serve as an independent cross-check on the exact arithmetic.
+``_from_characters`` inverts them where each is 1, -1, i or -i, as for
+the sixteen units, which :mod:`signfree.units` builds that way.
 """
 
 from __future__ import annotations
@@ -176,6 +178,27 @@ class CyclicMatrix(CyclicElement):
 
     def __repr__(self) -> str:
         return "CyclicMatrix({!r}, {!r}, {!r})".format(*self.columns)
+
+
+# each character value in {1, -1, i, -i} as a triple's (p, q) ints over 3: 1 is
+# (1, 0, 0), -1 is (0, 1, 1) as 1 + w + w^2 = 0, and +-i are sqrt3/3 * (1, 2, 0)
+# and sqrt3/3 * (1, 0, 2), as 1 + 2w = i*sqrt3 and 1 + 2w^2 = -i*sqrt3
+_CHARACTER_INTS = {1: (3, 0, 0, 0, 0, 0), -1: (0, 0, 3, 0, 3, 0), 1j: (0, 1, 0, 2, 0, 0), -1j: (0, 1, 0, 0, 0, 2)}
+
+
+def _from_characters(pattern: "tuple[complex, complex, complex]") -> CyclicMatrix:
+    """The reduced matrix whose `characters()` are `pattern`, each in {1, -1, i, -i}.
+
+    Column s is (1/3) * sum of w^(-k*s) * psi_k over k, the inverse of
+    `characters`.  w^-1 * (a + b*w + c*w^2) is b + c*w + a*w^2, so each
+    power of w^-1 shifts a triple's ints by one part: no product is taken.
+    """
+    psis = [_CHARACTER_INTS[value] for value in pattern]
+    num: list = []
+    for s in range(3):
+        shifts = [2 * (k * s % 3) for k in range(3)]
+        num += map(sum, zip(*(psi[m:] + psi[:m] for psi, m in zip(psis, shifts))))
+    return CyclicMatrix._make(num, 9).reduce()
 
 
 def absolute_zero(xi: object, zeta: object, eta: object) -> CyclicMatrix:

@@ -5,11 +5,14 @@ L, -L) and eight square to the class of -1 (labels i, -i, j, -j, k, -k,
 l, -l).  Their entries need 1/3, sqrt(3)/3 and sqrt(3)/9, which is why
 the whole package computes over Q(sqrt 3).
 
-Only the sixteen unit matrices and the plus-one table are data.  The
-imaginary family is i times the plus-one family, so the imaginary table
-is the plus-one table relabelled U -> -U ((iU)(iV) = -UV), the mixed
-table is it relabelled U -> iU (U(iV) = i*UV), and the root families
-are the units scaled by 3 and 3*sqrt(3).  :func:`verify_unit_table`
+The only unit data are the characters (psi_0, psi_1, psi_2) of 1, J, K
+and L, four sign vectors, as each unit is fixed by its characters.  In
+enum order each is followed by its negative, and the imaginary family
+is i times the plus-one family.  Each unit matrix is the inverse
+character transform of its pattern (`matrices._from_characters`), each
+table cell the unit whose pattern is the row's times the column's, part
+by part, and the root families are the units scaled by 3 and 3*sqrt(3).
+:func:`verify_unit_table` does not rest on the characters: it
 recomputes every cell with exact matrix multiplication and compares
 classes exactly, by their equality keys: each unit's value and key are
 read once per table, each product and its key once per cell, and a
@@ -17,17 +20,17 @@ product is named by looking its key up in a key -> unit map in which
 the first listed unit wins (two units may be equal in a substituted
 set).  :func:`match_unit` builds that map from the units it is given on
 every call, so it never reads a stale copy.  A unit's `label` (its
-value) is a plain str attribute of the member.
+value) is a plain str attribute of the member, and a member hashes by
+identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .matrices import CyclicMatrix
+from .matrices import CyclicMatrix, _from_characters
 from .scalars import ExactScalar
 
 __all__ = [
@@ -70,6 +73,9 @@ class UnitName(Enum):
     LL = "l"
     NLL = "-l"
 
+    # members are singletons compared by identity: no Python-level Enum.__hash__ per lookup
+    __hash__ = object.__hash__
+
     def __init__(self, label: str) -> None:
         self.label = label  # the value, as a plain attribute: no descriptor on each read
 
@@ -85,34 +91,15 @@ class UnitName(Enum):
 PLUS_FAMILY = tuple(UnitName)[:8]
 IMAGINARY_FAMILY = tuple(UnitName)[8:]
 
-_ONE_SCALE = ExactScalar(1)
-_THIRD = ExactScalar(Fraction(1, 3))
-_ROOT_THIRD = ExactScalar(0, Fraction(1, 3))  # sqrt(3)/3
-_ROOT_NINTH = ExactScalar(0, Fraction(1, 9))  # sqrt(3)/9
+# the characters (psi_0, psi_1, psi_2) of 1, J, K and L, which fix each unit; in enum
+# order each is followed by its negative, and the imaginary half is i times them
+_SIGNS = ((1, 1, 1), (1, -1, 1), (1, 1, -1), (-1, 1, 1))
+_PATTERNS: dict[UnitName, tuple] = dict(
+    zip(UnitName, [tuple(i * sign * x for x in signs) for i in (1, 1j) for signs in _SIGNS for sign in (1, -1)])
+)
+_UNIT_OF_PATTERN = {pattern: name for name, pattern in _PATTERNS.items()}
 
-# (scale, printed rows) for every unit
-_UNIT_DEFS: dict[UnitName, tuple[ExactScalar, tuple[tuple[int, int, int], ...]]] = {
-    UnitName.ONE: (_ONE_SCALE, ((1, 0, 0), (0, 0, 0), (0, 0, 0))),
-    UnitName.NEG1: (_ONE_SCALE, ((0, 0, 0), (1, 0, 0), (1, 0, 0))),
-    UnitName.J: (_THIRD, ((1, 2, 2), (0, 2, 0), (0, 0, 2))),
-    UnitName.NJ: (_THIRD, ((0, 0, 0), (1, 0, 2), (1, 2, 0))),
-    UnitName.K: (_THIRD, ((1, 2, 2), (0, 0, 2), (0, 2, 0))),
-    UnitName.NK: (_THIRD, ((0, 0, 0), (1, 2, 0), (1, 0, 2))),
-    UnitName.L: (_THIRD, ((1, 0, 0), (0, 2, 2), (0, 2, 2))),
-    UnitName.NL: (_THIRD, ((0, 2, 2), (1, 0, 0), (1, 0, 0))),
-    UnitName.I: (_ROOT_THIRD, ((1, 0, 0), (2, 0, 0), (0, 0, 0))),
-    UnitName.NI: (_ROOT_THIRD, ((1, 0, 0), (0, 0, 0), (2, 0, 0))),
-    UnitName.JJ: (_ROOT_NINTH, ((1, 0, 4), (2, 4, 2), (0, 2, 0))),
-    UnitName.NJJ: (_ROOT_NINTH, ((1, 4, 0), (0, 0, 2), (2, 2, 4))),
-    UnitName.KK: (_ROOT_NINTH, ((1, 4, 0), (2, 2, 4), (0, 0, 2))),
-    UnitName.NKK: (_ROOT_NINTH, ((1, 0, 4), (0, 2, 0), (2, 4, 2))),
-    UnitName.LL: (_ROOT_NINTH, ((1, 2, 2), (2, 0, 0), (0, 4, 4))),
-    UnitName.NLL: (_ROOT_NINTH, ((1, 2, 2), (0, 4, 4), (2, 0, 0))),
-}
-
-UNIT_VALUES: dict[UnitName, CyclicMatrix] = {
-    name: scale * CyclicMatrix.from_rows(rows) for name, (scale, rows) in _UNIT_DEFS.items()
-}
+UNIT_VALUES: dict[UnitName, CyclicMatrix] = {name: _from_characters(pattern) for name, pattern in _PATTERNS.items()}
 
 
 def unit_value(unit: "UnitName | str") -> CyclicMatrix:
@@ -158,39 +145,21 @@ class Table:
         return self.cells[self.row_units.index(row)][self.col_units.index(col)]
 
 
-# the plus-one table: row U, column V holds UV
-_PLUS_GRID = tuple(
-    tuple(UnitName.from_label(label) for label in row.split())
-    for row in (
-        "1 -1 J -J K -K L -L",
-        "-1 1 -J J -K K -L L",
-        "J -J 1 -1 -L L -K K",
-        "-J J -1 1 L -L K -K",
-        "K -K -L L 1 -1 -J J",
-        "-K K L -L -1 1 J -J",
-        "L -L -K K -J J 1 -1",
-        "-L L K -K J -J -1 1",
+def _cells(rows: "tuple[UnitName, ...]", cols: "tuple[UnitName, ...]") -> "tuple[tuple[UnitName, ...], ...]":
+    """Row U, column V holds the unit whose pattern is U's times V's, part by
+    part, as characters are multiplicative."""
+    return tuple(
+        tuple(_UNIT_OF_PATTERN[tuple(x * y for x, y in zip(_PATTERNS[row], _PATTERNS[col]))] for col in cols)
+        for row in rows
     )
-)
 
-
-def _relabel(image: "Mapping[UnitName, UnitName]") -> "tuple[tuple[UnitName, ...], ...]":
-    """The plus-one grid with each cell U replaced by image[U]."""
-    return tuple(tuple(image[unit] for unit in row) for row in _PLUS_GRID)
-
-
-# each family alternates U, -U, and IMAGINARY_FAMILY[k] is i * PLUS_FAMILY[k]
-_NEGATIVE = {unit: PLUS_FAMILY[k ^ 1] for k, unit in enumerate(PLUS_FAMILY)}
-_TIMES_I = dict(zip(PLUS_FAMILY, IMAGINARY_FAMILY))
 
 TABLES: dict[str, Table] = {
-    table.name: table
-    for table in (
-        Table("plus-one-table", PLUS_FAMILY, PLUS_FAMILY, _PLUS_GRID),
-        # (iU)(iV) = -UV
-        Table("imaginary-table", IMAGINARY_FAMILY, IMAGINARY_FAMILY, _relabel(_NEGATIVE)),
-        # U(iV) = i*UV
-        Table("mixed-table", PLUS_FAMILY, IMAGINARY_FAMILY, _relabel(_TIMES_I)),
+    name: Table(name, rows, cols, _cells(rows, cols))
+    for name, rows, cols in (
+        ("plus-one-table", PLUS_FAMILY, PLUS_FAMILY),
+        ("imaginary-table", IMAGINARY_FAMILY, IMAGINARY_FAMILY),
+        ("mixed-table", PLUS_FAMILY, IMAGINARY_FAMILY),
     )
 }
 

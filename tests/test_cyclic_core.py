@@ -38,8 +38,9 @@ from signfree import (
 )
 from signfree._cyclic import CyclicElement
 from signfree.triples import _norm_sq
-from signfree.units import _UNIT_DEFS
 from signfree.verify import _norm_sign
+
+from unit_reference import UNIT_DEFS
 
 SEEDS = range(200)
 EXPONENTS = range(13)
@@ -347,10 +348,10 @@ def check_against_reference(name, x, y, factor, exponents, where):
         check_views(name, value, ref, where)
 
 
-# the units' columns from their definitions: a scale times integer rows
+# the units' columns from their hand-written reference: a scale times integer rows
 UNIT_PARTS = {
     name: tuple(tuple(scale * ExactScalar(row[s]) for row in rows) for s in range(3))
-    for name, (scale, rows) in _UNIT_DEFS.items()
+    for name, (scale, rows) in UNIT_DEFS.items()
 }
 
 _ROOT_NINTH = ExactScalar(0, Fraction(1, 9))

@@ -31,6 +31,8 @@ from signfree import (
 )
 from signfree.cli import build_parser, run_tables
 
+from unit_reference import TABLE_CELLS, UNIT_DEFS
+
 
 def test_sixteen_units_exist_and_are_reduced():
     assert len(UnitName) == 16
@@ -69,6 +71,19 @@ def test_unit_squares():
         assert unit_value(unit) ** 2 == unit_value(UnitName.ONE), unit
     for unit in IMAGINARY_FAMILY:
         assert unit_value(unit) ** 2 == unit_value(UnitName.NEG1), unit
+
+
+def test_units_from_patterns_match_hand_written_reference():
+    for unit, (scale, rows) in UNIT_DEFS.items():
+        reference = scale * CyclicMatrix.from_rows(rows)
+        value = UNIT_VALUES[unit]
+        assert (value._num, value._den) == (reference._num, reference._den), unit
+    assert list(UNIT_DEFS) == list(UNIT_VALUES)
+
+
+@pytest.mark.parametrize("which", TABLE_IDS)
+def test_table_cells_from_patterns_match_hand_written_grid(which):
+    assert TABLES[which].cells == TABLE_CELLS[which]
 
 
 def test_specific_cells():
@@ -171,15 +186,27 @@ def test_square_root_families_among_units():
 
 
 def test_character_fingerprints_of_representative_units():
-    # derived by evaluating psi_q = phi(A) + w^q phi(B) + w^2q phi(C)
+    # derived by evaluating psi_q = phi(A) + w^q phi(B) + w^2q phi(C); every
+    # unit, so a permutation within a family fails here too
     expectations = {
         UnitName.ONE: (1, 1, 1),
         UnitName.NEG1: (-1, -1, -1),
         UnitName.J: (1, -1, 1),
+        UnitName.NJ: (-1, 1, -1),
+        UnitName.K: (1, 1, -1),
+        UnitName.NK: (-1, -1, 1),
         UnitName.L: (-1, 1, 1),
+        UnitName.NL: (1, -1, -1),
         UnitName.I: (1j, 1j, 1j),
+        UnitName.NI: (-1j, -1j, -1j),
         UnitName.JJ: (1j, -1j, 1j),
+        UnitName.NJJ: (-1j, 1j, -1j),
+        UnitName.KK: (1j, 1j, -1j),
+        UnitName.NKK: (-1j, -1j, 1j),
+        UnitName.LL: (-1j, 1j, 1j),
+        UnitName.NLL: (1j, -1j, -1j),
     }
+    assert list(expectations) == list(UnitName)
     for unit, expected in expectations.items():
         computed = unit_value(unit).characters()
         assert all(abs(c - e) < 1e-12 for c, e in zip(computed, expected)), unit
