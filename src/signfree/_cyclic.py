@@ -23,8 +23,8 @@ An element holds its n parts as one flat tuple of ints
 is ``(p_i + q_i*sqrt(3)) / d``.  The ints and ``d`` have no common
 factor, so each operation is int multiplies and adds plus one gcd over
 the whole tuple, with no `ExactScalar` in between.  Scalars and triples
-are built only at the boundary: constructors, accessors, printing and
-the float views.
+are built only at the boundary: constructors, accessors, `repr` and the
+float views.  `str` prints each part's ints with `scalars._text`.
 
 The parts fall into runs of consecutive parts (the whole element for
 pairs and triples, one column for matrices), and a run that is a
@@ -37,7 +37,7 @@ gives the printed form.
 Nonnegativity is checked once, where values come from outside: every
 constructor and every scale factor passes its entries through
 `checked_payload`, which reads each entry as ``(p, q, d)`` ints (an
-int or Fraction by its type), tests its sign once and joins the
+int, Fraction or scalar by its type), tests its sign once and joins the
 entries over one denominator.  Sums, products and reductions of
 nonnegative parts stay nonnegative, so results are built unchecked by
 the class's ``_make``.  ``*``, ``**``, ``==``, ``hash`` and `reduce()` are
@@ -194,8 +194,9 @@ def checked_payload(entries: "Iterable[object]", names: "Iterable[str]") -> "tup
     """The ``(ints, d)`` payload of outside entries, one part each.
 
     An entry is an `ExactScalar`, int, Fraction or numeric str; each must
-    be nonnegative, and its name in `names` says which one is not.  Ints
-    and Fractions (exact types) are read by type, with no `ExactScalar` built.
+    be nonnegative, and its name in `names` says which one is not.  Ints,
+    Fractions and scalars (exact types) are read by type, with no
+    `ExactScalar` built.
     """
     num, dens = [], []
     for value, what in zip(entries, names):
@@ -204,7 +205,9 @@ def checked_payload(entries: "Iterable[object]", names: "Iterable[str]") -> "tup
             p, q, d = value, 0, 1
         elif kind is Fraction:
             p, q, d = value.numerator, 0, value.denominator
-        else:  # bools, int subclasses, scalars and strs
+        elif kind is ExactScalar:
+            p, q, d = value._p, value._q, value._d
+        else:  # bools, int subclasses and strs
             p, q, d = ExactScalar._parts(value) or ExactScalar._parts(as_scalar(value))
         if (p < 0) if q == 0 else (_int_sign(p, q) < 0):
             raise ValueError(f"{what} must be nonnegative, got {_normalised(p, q, d)}")

@@ -16,6 +16,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Mapping
 
@@ -241,4 +242,11 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout, as `signfree eval | head` does
+        # stdout to /dev/null, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)

@@ -28,10 +28,16 @@ unambiguous under case folding.
 Functions: reduce, norm, normsq, conj, tocomplex, rowsums, chars.
 
 Each function and each literal system is one table entry that the
-parser, `kind_of` and `evaluate` all read.  Tokens are plain
-``(kind, text, position)`` tuples.  A flat operator chain such as
-``1+1+...+1`` is checked and evaluated in a loop, so only nesting
-(parentheses, unary '-', literals, calls) meets the recursion limit.
+parser, `kind_of` and `evaluate` all read.  The tokenizer's matches
+tile the text (white space, a number, a name or any one character), so
+each token's kind comes from its first character and its position from
+the lengths before it.  Tokens are plain ``(kind, text, position)``
+tuples.  `expr` and `term` are one precedence-climbing method over the
+binding table ``{'+': 1, '-': 1, '*': 2}``, and `factor` reads its
+primary itself, so a parenthesis costs two stack frames.  A flat
+operator chain such as ``1+1+...+1`` is parsed, checked and evaluated in
+a loop, so only nesting (parentheses, unary '-', literals, calls) meets
+the recursion limit.
 """
 
 from __future__ import annotations
@@ -151,30 +157,34 @@ _SYSTEMS = {
 
 _UNIT_TOKENS = {member.name: member for member in UnitName}
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
-    r"|(?P<sym>[-+*/^(){}\[\],;])|(?P<bad>.)",
-    re.S,
-)
+# the matches tile the text: white space, a number, a name or any one character
+_TOKEN_RE = re.compile(r"\s+|\d+(?:\.\d+)?|[A-Za-z][A-Za-z0-9]*|.", re.S)
+_SYMBOLS = frozenset("-+*/^(){}[],;")
+_BINDING = {"+": 1, "-": 1, "*": 2}  # how tightly each binary operator binds
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, position) of each token, then ("end", "", len(text)).
 
-    A kind is 'num', 'name' or the symbol itself.
+    A kind is 'num', 'name' or the symbol itself.  It is read from the
+    first character of each match: `isdecimal` and `isspace` accept the
+    characters the pattern's digit and white space classes accept.  A
+    token's position is the sum of the lengths of the matches before it.
     """
     tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "ws":
-            continue
-        value = match.group()
-        if kind == "sym":
-            kind = value
-        elif kind == "bad":
-            raise ExpressionError(f"unexpected character {value!r}", match.start())
-        tokens.append((kind, value, match.start()))
-    tokens.append(("end", "", len(text)))
+    pos = 0
+    for piece in _TOKEN_RE.findall(text):
+        first = piece[0]
+        if first in _SYMBOLS:
+            tokens.append((first, piece, pos))
+        elif first.isdecimal():
+            tokens.append(("num", piece, pos))
+        elif first.isascii() and first.isalpha():
+            tokens.append(("name", piece, pos))
+        elif not first.isspace():
+            raise ExpressionError(f"unexpected character {piece!r}", pos)
+        pos += len(piece)
+    tokens.append(("end", "", pos))
     return tokens
 
 
@@ -199,37 +209,44 @@ class _Parser:
         return token
 
     def _expect(self, symbol: str) -> None:
-        kind, text, pos = self._next(f"'{symbol}'")
+        kind, text, pos = self.tokens[self.index]
         if kind != symbol:
-            raise ExpressionError(f"expected '{symbol}', found {text!r}", pos)
+            found = "end of input" if kind == "end" else repr(text)
+            raise ExpressionError(f"expected '{symbol}', found {found}", pos)
+        self.index += 1
 
     def parse(self) -> Expression:
-        expr = self._expr()
+        expr = self._expr(0)
         kind, text, pos = self.tokens[self.index]
         if kind != "end":
             raise ExpressionError(f"unexpected {text!r}", pos)
         return expr
 
-    def _expr(self) -> Expression:
-        left = self._term()
-        while (token := self.tokens[self.index])[0] in ("+", "-"):
-            self.index += 1
-            left = BinOp(token[2], token[0], left, self._term())
-        return left
+    def _expr(self, tighter_than: int) -> Expression:
+        """Factors joined by the operators that bind tighter than `tighter_than`.
 
-    def _term(self) -> Expression:
+        Operators of one binding join from the left in this loop, so a flat
+        chain takes no stack; only a tighter operator's right side recurses.
+        """
         left = self._factor()
-        while (token := self.tokens[self.index])[0] == "*":
+        while (binding := _BINDING.get((token := self.tokens[self.index])[0], 0)) > tighter_than:
             self.index += 1
-            left = BinOp(token[2], "*", left, self._factor())
+            left = BinOp(token[2], token[0], left, self._expr(binding))
         return left
 
     def _factor(self) -> Expression:
-        kind, _, pos = self.tokens[self.index]
+        kind, text, pos = self._next("an expression")
         if kind == "-":
-            self.index += 1
             return Negate(pos, self._factor())
-        base = self._primary()
+        if kind == "num":
+            base = self._number(text, pos)
+        elif kind == "name":
+            base = self._name(text, pos)
+        elif kind == "(":
+            base = self._expr(0)
+            self._expect(")")
+        else:
+            raise ExpressionError(f"unexpected {text!r}", pos)
         if self.tokens[self.index][0] == "^":
             self.index += 1
             kind, text, pos = self._next("a nonnegative integer exponent")
@@ -237,18 +254,6 @@ class _Parser:
                 raise ExpressionError("exponent must be a nonnegative integer", pos)
             base = Power(base.pos, base, _integer(text, pos))
         return base
-
-    def _primary(self) -> Expression:
-        kind, text, pos = self._next("an expression")
-        if kind == "num":
-            return self._number(text, pos)
-        if kind == "name":
-            return self._name(text, pos)
-        if kind == "(":
-            expr = self._expr()
-            self._expect(")")
-            return expr
-        raise ExpressionError(f"unexpected {text!r}", pos)
 
     def _number(self, text: str, pos: int) -> Expression:
         if self.tokens[self.index][0] == "/":
@@ -264,11 +269,13 @@ class _Parser:
             if denom_value == 0:
                 raise ExpressionError("zero denominator", denom_pos)
             return ScalarConst(pos, _normalised(_integer(text, pos), 0, denom_value))
+        if "." not in text:
+            return ScalarConst(pos, _normalised(_integer(text, pos), 0, 1))
         whole, _, fraction = text.partition(".")
         # the two sides are read apart, as Fraction(str) reads them, so the
         # int-to-str digit limit applies to each side, not to their sum
         scale = 10 ** len(fraction)
-        numerator = _integer(whole, pos) * scale + _integer(fraction or "0", pos)
+        numerator = _integer(whole, pos) * scale + _integer(fraction, pos)
         return ScalarConst(pos, _normalised(numerator, 0, scale))
 
     def _name(self, text: str, pos: int) -> Expression:
@@ -280,7 +287,7 @@ class _Parser:
             return VectorLit(pos, lower, self._items(_SYSTEMS[lower][1]))
         if lower in _FUNCTIONS and follower == "(":
             self.index += 1
-            arg = self._expr()
+            arg = self._expr(0)
             self._expect(")")
             return Call(pos, lower, arg)
         upper = text.upper()
@@ -293,7 +300,7 @@ class _Parser:
         items = []
         for mark in layout:
             if mark == "_":
-                items.append(self._expr())
+                items.append(self._expr(0))
             else:
                 self._expect(mark)
         return tuple(items)

@@ -35,7 +35,7 @@ from itertools import product as _iter_product
 from typing import Iterable
 
 from ._cyclic import CyclicElement, checked_payload, join
-from .scalars import ExactScalar, _int_sign, _normalised, as_scalar
+from .scalars import ExactScalar, _int_sign, _normalised, _text, as_scalar
 from .triples import _COMPONENTS, CyclicTriple, _complex, _norm_sq
 
 __all__ = [
@@ -172,9 +172,9 @@ class CyclicMatrix(CyclicElement):
         return chars
 
     def __str__(self) -> str:
-        rows = self.rows()
-        body = ";".join("[" + ",".join(str(entry) for entry in row) + "]" for row in rows)
-        return f"m{{{body}}}"
+        num, d = self._num, self._den
+        entries = [_text(num[i], num[i + 1], d) for i in range(0, 18, 2)]  # part 3*s + r is row r of column s
+        return "m{" + ";".join("[" + ",".join(entries[r::3]) + "]" for r in range(3)) + "}"
 
     def __repr__(self) -> str:
         return "CyclicMatrix({!r}, {!r}, {!r})".format(*self.columns)

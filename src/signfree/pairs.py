@@ -11,7 +11,7 @@ equality ignores.  The arithmetic is the shared cyclic core
 from __future__ import annotations
 
 from ._cyclic import CyclicElement, checked_payload
-from .scalars import ExactScalar, _normalised
+from .scalars import ExactScalar, _normalised, _text
 
 __all__ = ["UnsignedPair"]
 
@@ -39,7 +39,9 @@ class UnsignedPair(CyclicElement):
         return self._part(1)
 
     def __str__(self) -> str:
-        return "p{{{},{}}}".format(*self.components)
+        p0, q0, p1, q1 = self._num
+        d = self._den
+        return f"p{{{_text(p0, q0, d)},{_text(p1, q1, d)}}}"
 
     def __repr__(self) -> str:
         return "UnsignedPair({}, {})".format(*self.components)

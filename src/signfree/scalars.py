@@ -13,7 +13,9 @@ product or quotient is integer multiplies and adds plus one gcd.
 `Fraction`s are built only at the boundaries: the constructor accepts
 them (and ints and numeric strings), and the `rat`/`root` properties and
 the hash of a value with a sqrt(3) part return or use them.  `str` and
-`repr` print ``p/d`` and ``q/d`` with one gcd each.
+`repr` print ``p/d`` and ``q/d`` with one gcd each; `_text` prints any
+``(p, q, d)`` ints that way, so pairs, triples and matrices print their
+parts with no scalar built.
 """
 
 from __future__ import annotations
@@ -212,17 +214,24 @@ class ExactScalar:
         return approx
 
     def __str__(self) -> str:
-        p, q, d = self._p, self._q, self._d
-        if q == 0:
-            return _ratio(p, d)
-        root_part = _ratio(abs(q), d) + "*sqrt3"
-        joiner = "+" if q > 0 else "-"
-        if p == 0:
-            return root_part if q > 0 else joiner + root_part
-        return _ratio(p, d) + joiner + root_part
+        return _text(self._p, self._q, self._d)
 
     def __repr__(self) -> str:
         return f"ExactScalar({_ratio(self._p, self._d)}, {_ratio(self._q, self._d)})"
+
+
+def _text(p: int, q: int, d: int) -> str:
+    """The printed form of ``(p + q*sqrt(3)) / d`` for ``d > 0``.
+
+    Each ratio is reduced on its own, so the ints need not be in lowest terms.
+    """
+    if q == 0:
+        return _ratio(p, d)
+    root_part = _ratio(abs(q), d) + "*sqrt3"
+    joiner = "+" if q > 0 else "-"
+    if p == 0:
+        return root_part if q > 0 else joiner + root_part
+    return _ratio(p, d) + joiner + root_part
 
 
 def _ratio(n: int, d: int) -> str:

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from ._cyclic import CyclicElement, checked_payload
-from .scalars import ExactScalar, _normalised
+from .scalars import ExactScalar, _normalised, _text
 
 __all__ = ["CyclicTriple"]
 
@@ -119,7 +119,9 @@ class CyclicTriple(CyclicElement):
         return _complex(*self._num, self._den)
 
     def __str__(self) -> str:
-        return "t{{{},{},{}}}".format(*self.components)
+        pa, qa, pb, qb, pc, qc = self._num
+        d = self._den
+        return f"t{{{_text(pa, qa, d)},{_text(pb, qb, d)},{_text(pc, qc, d)}}}"
 
     def __repr__(self) -> str:
         return "CyclicTriple({}, {}, {})".format(*self.components)

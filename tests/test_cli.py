@@ -250,6 +250,27 @@ def test_module_entry_point():
     assert completed.stdout.strip() == "1"
 
 
+def test_eval_ends_quietly_when_its_reader_closes_the_pipe(tmp_path):
+    # `signfree eval | head -n 1`: the reader leaves after one line of many
+    stdin_path = tmp_path / "stdin.txt"
+    stdin_path.write_text("J*K\n" * 20_000)
+    with stdin_path.open("rb") as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "signfree", "eval"],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        status = proc.wait(timeout=60)
+    assert first == b"m{[1,4/3,4/3];[4/3,2/3,2/3];[4/3,2/3,2/3]}\n"
+    assert err == b""  # no traceback, from the print or from the flush at exit
+    assert status == 1
+
+
 @pytest.mark.parametrize("args, golden", ((["roots"], "roots"), (["tables", "--machine"], "tables-machine")))
 def test_console_entry_point(monkeypatch, capsys, args, golden):
     # `main_entry` is the `signfree` script named in pyproject.toml's [project.scripts]

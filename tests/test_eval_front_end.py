@@ -361,10 +361,20 @@ def test_front_end_matches_reference(seed):
     [
         "", " ", "1 ", "\t1\n", "2.", ".5", "1..5", "00.0100", "١٢.٥٠", "7/0", "1.5/2", "2/0.5",
         "3^2.0", "1/2/3", "1e5", "2sqrt3", "m{[1,2,3];[4,5,6];[7,8,9]", "p{1,2", "(((", "-", "x#",
+        " J", "x\x1cy", "aéb", "1٣+2", "2²",
     ],
 )
 def test_front_end_matches_reference_on_edge_cases(text):
     _same_front_end(text)
+
+
+def test_tokenizer_character_tests_match_the_pattern_classes():
+    # `_tokenize` reads each match's kind from its first character with these
+    # str tests, so each must accept exactly the characters its class matches
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\d", every) == [c for c in every if c.isdecimal()]
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+    assert re.findall(r"[A-Za-z]", every) == [c for c in every if c.isascii() and c.isalpha()]
 
 
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
