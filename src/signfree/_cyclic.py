@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import math
 import types
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable
 
 from .scalars import ExactScalar, _int_sign, _normalised, as_scalar, power
 

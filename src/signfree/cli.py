@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Mapping
+from collections.abc import Iterable, Mapping
 
 from . import expressions, units, verify
 from .matrices import CyclicMatrix
@@ -53,11 +53,11 @@ def _eval_line(text: str) -> int:
         shown = expressions.format_value(value)
     except ValueError:  # an int past the interpreter's int-to-str digit limit
         return _error("result too large to print")
-    print(shown)
+    print(shown, flush=True)  # out before the next text is read, as stdin may stay open
     return 0
 
 
-def run_eval(texts: list[str]) -> int:
+def run_eval(texts: Iterable[str]) -> int:
     status = 0
     for text in texts:
         text = text.strip()
@@ -226,8 +226,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "eval":
-        texts = args.expressions or list(sys.stdin)
-        return run_eval(texts)
+        return run_eval(args.expressions or sys.stdin)  # stdin line by line: an endless one is answered
     if args.command == "repl":
         return run_repl()
     if args.command == "tables":

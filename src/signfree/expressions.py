@@ -43,10 +43,10 @@ the recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Callable
 from enum import Enum
-from typing import Any, Callable
 
+from ._record import record
 from .matrices import CyclicMatrix
 from .pairs import UnsignedPair
 from .scalars import SQRT3, ExactScalar, _normalised
@@ -85,46 +85,46 @@ class Kind(Enum):
     CHARS = "characters"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Expression:
     pos: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScalarConst(Expression):
     value: ExactScalar
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnitRef(Expression):
     unit: UnitName
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VectorLit(Expression):
     system: str  # 'p', 't' or 'm'
     items: tuple[Expression, ...]  # row-major for 'm'
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Negate(Expression):
     operand: Expression
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BinOp(Expression):
     op: str
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Power(Expression):
     base: Expression
     exponent: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Call(Expression):
     func: str
     arg: Expression
@@ -311,7 +311,7 @@ def parse(text: str) -> Expression:
     return _Parser(text).parse()
 
 
-def _fold(expr: BinOp, walk: Callable, apply: Callable) -> Any:
+def _fold(expr: BinOp, walk: Callable, apply: Callable) -> object:
     """Walk ``a + b - c``, parsed as ``(a + b) - c``, and apply each operator in turn.
 
     The order is a recursion's: `a`, then `b`, then '+', then `c`, then '-';

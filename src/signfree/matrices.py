@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import product as _iter_product
-from typing import Iterable
 
 from ._cyclic import CyclicElement, checked_payload, join
+from ._record import record
 from .scalars import ExactScalar, _int_sign, _normalised, _text, as_scalar
 from .triples import _COMPONENTS, CyclicTriple, _complex, _norm_sq
 
@@ -55,7 +55,7 @@ _COLUMNS = ("A", "B", "C")
 _COLUMN_INDEX = {column: s for s, column in enumerate(_COLUMNS)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RowSelector:
     """Choice of one column per row: the support pattern of a rotation zero."""
 

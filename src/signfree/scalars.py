@@ -21,15 +21,13 @@ parts with no scalar built.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
 from functools import total_ordering
-from typing import Callable, TypeVar
 
 __all__ = ["ExactScalar", "SQRT3", "as_scalar", "power"]
 
 _SQRT3_FLOAT = math.sqrt(3.0)
-
-_T = TypeVar("_T")
 
 
 def as_scalar(value: "ExactScalar | Fraction | int | str") -> "ExactScalar":
@@ -41,7 +39,7 @@ def as_scalar(value: "ExactScalar | Fraction | int | str") -> "ExactScalar":
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact scalar")
 
 
-def power(base: _T, exponent: int, one: Callable[[], _T]) -> _T:
+def power(base: object, exponent: int, one: Callable[[], object]) -> object:
     """``base ** exponent`` for ``exponent >= 0``: the one power loop.
 
     Square-and-multiply with ``bit_length(n) + popcount(n) - 2`` products

@@ -26,10 +26,11 @@ identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping
 from enum import Enum
-from typing import Mapping, NamedTuple
 
+from ._record import record
 from .matrices import CyclicMatrix, _from_characters
 from .scalars import ExactScalar
 
@@ -132,7 +133,7 @@ def match_unit(
     return names.get(matrix._key())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Table:
     """An 8x8 product table with fixed row/column unit orders."""
 
@@ -166,18 +167,11 @@ TABLES: dict[str, Table] = {
 TABLE_IDS = tuple(TABLES)
 
 
-class CellCheck(NamedTuple):
-    """One table cell; `computed` is the raw, unreduced product."""
-
-    row: UnitName
-    col: UnitName
-    expected: UnitName
-    computed: CyclicMatrix
-    computed_name: "UnitName | None"
-    passed: bool
+# one table cell; `computed` is the raw, unreduced product and `computed_name` a UnitName or None
+CellCheck = namedtuple("CellCheck", "row col expected computed computed_name passed", module=__name__)
 
 
-@dataclass
+@record()
 class TableReport:
     table: str
     cells: list[CellCheck]

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import product as _iter_product
 from operator import add, eq, methodcaller, mul
-from typing import Callable
 
+from ._record import record
 from .matrices import (
     CyclicMatrix,
     RowSelector,
@@ -90,7 +90,7 @@ def _rand_digit_matrix(rng: random.Random) -> CyclicMatrix:
     return CyclicMatrix._make([n for _ in range(9) for n in (rng.randrange(10), 0)], 1)
 
 
-@dataclass
+@record()
 class CheckResult:
     name: str
     samples: int

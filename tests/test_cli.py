@@ -1,4 +1,6 @@
 import io
+import os
+import select
 import shlex
 import subprocess
 import sys
@@ -269,6 +271,33 @@ def test_eval_ends_quietly_when_its_reader_closes_the_pipe(tmp_path):
     assert first == b"m{[1,4/3,4/3];[4/3,2/3,2/3];[4/3,2/3,2/3]}\n"
     assert err == b""  # no traceback, from the print or from the flush at exit
     assert status == 1
+
+
+def test_eval_answers_each_stdin_line_before_the_next_arrives():
+    # stdin stays open, as it does under `yes 'J*K' | signfree eval`; PYTHONUNBUFFERED
+    # would flush every print and hide a result held back in the stdout buffer
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "signfree", "eval"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        proc.stdin.write(b"J*K\n")
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 20)
+        assert ready, "no result while stdin was open"
+        assert proc.stdout.readline() == b"m{[1,4/3,4/3];[4/3,2/3,2/3];[4/3,2/3,2/3]}\n"
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stdout.read() == b"" and proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 @pytest.mark.parametrize("args, golden", ((["roots"], "roots"), (["tables", "--machine"], "tables-machine")))

@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import signfree
 from signfree import expressions, matrices, pairs, scalars, triples, units, verify
 
@@ -25,3 +32,24 @@ def test_package_exports_each_module_all():
         for name in module.__all__:
             assert getattr(signfree, name) is getattr(module, name), name
             assert namespace[name] is getattr(module, name), name
+
+
+
+# `inspect` is what importing `dataclasses` loads beyond the stdlib modules signfree uses;
+# each costs milliseconds of every CLI call and nothing in signfree needs it
+HEAVY_MODULES = {"dataclasses", "inspect", "typing"}
+
+
+@pytest.mark.parametrize(
+    "argv", (["-c", "import signfree"], ["-m", "signfree", "eval", "J*K"]), ids=("import", "eval")
+)
+def test_start_up_imports_no_heavy_module(argv):
+    # -X importtime names each module a process imports, on stderr; -S leaves out site
+    env = dict(os.environ, PYTHONPATH=str(Path(signfree.__file__).parents[1]))
+    completed = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", *argv], capture_output=True, text=True, env=env
+    )
+    assert completed.returncode == 0, completed.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in completed.stderr.splitlines() if "|" in line}
+    assert "signfree.expressions" in imported
+    assert not imported & HEAVY_MODULES
