@@ -222,12 +222,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdin() -> Iterable[str]:
+    """`sys.stdin`, set to read an undecodable byte as a lone surrogate (as
+    the C locale does), so that its line ends in an `error:` line, not a traceback."""
+    reconfigure = getattr(sys.stdin, "reconfigure", None)  # a stand-in stream may have none
+    if reconfigure is not None:
+        reconfigure(errors="surrogateescape")
+    return sys.stdin
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "eval":
-        return run_eval(args.expressions or sys.stdin)  # stdin line by line: an endless one is answered
+        return run_eval(args.expressions or _stdin())  # stdin line by line: an endless one is answered
     if args.command == "repl":
+        _stdin()
         return run_repl()
     if args.command == "tables":
         return run_tables(machine=args.machine)

@@ -15,7 +15,8 @@ them (and ints and numeric strings), and the `rat`/`root` properties and
 the hash of a value with a sqrt(3) part return or use them.  `str` and
 `repr` print ``p/d`` and ``q/d`` with one gcd each; `_text` prints any
 ``(p, q, d)`` ints that way, so pairs, triples and matrices print their
-parts with no scalar built.
+parts with no scalar built.  `_float` is the float view of any such ints,
+so `to_complex` and `characters()` take no gcd either.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from functools import total_ordering
 __all__ = ["ExactScalar", "SQRT3", "as_scalar", "power"]
 
 _SQRT3_FLOAT = math.sqrt(3.0)
+_SUBNORMAL_MARGIN = 2.0**-1000  # over 4x the smallest normal float: one step of e scales top by 4
 
 
 def as_scalar(value: "ExactScalar | Fraction | int | str") -> "ExactScalar":
@@ -72,6 +74,34 @@ def _int_sign(p: int, q: int) -> int:
 def _scaled_float(n: int, d: int, k: int) -> float:
     """``n * 2**k / d`` correctly rounded, as `float(Fraction)` would give it."""
     return (n << k) / d if k >= 0 else n / (d << -k)
+
+
+def _float(p: int, q: int, d: int) -> float:
+    """``(p + q*sqrt(3)) / d`` as a float, for ``d > 0``; the ints need not be
+    in lowest terms.  Raises `OverflowError` past float range."""
+    if (p < 0 < q) or (q < 0 < p):
+        # Rounded apart, p and q*sqrt3 of opposite signs cancel.  The
+        # conjugate form (p^2 - 3q^2) / (p - q*sqrt3) / d adds like
+        # signs only.  Scaling by 2**-e keeps the squares in range; e
+        # comes from exact bit lengths, as p/d and q/d may underflow.
+        e = max(p.bit_length(), q.bit_length()) - d.bit_length()
+        top = _scaled_float(p * p - 3 * q * q, d * d, -2 * e)
+        if abs(top) < _SUBNORMAL_MARGIN:
+            # A subnormal top keeps fewer bits, so its rounding depends on e,
+            # which a common factor of the ints can move by one: round the
+            # ints in lowest terms, as a scalar holds them.
+            g = math.gcd(p, q, d)
+            if g != 1:
+                return _float(p // g, q // g, d // g)
+        scaled = top / (_scaled_float(p, d, -e) - _scaled_float(q, d, -e) * _SQRT3_FLOAT)
+        try:
+            return math.ldexp(scaled, e)
+        except OverflowError:  # near the largest float, where the plain sum is finite
+            pass
+    approx = p / d + q / d * _SQRT3_FLOAT  # p / d raises OverflowError past float range
+    if math.isinf(approx):  # q / d * sqrt3, or the sum, past float range
+        raise OverflowError("exact scalar too large for a float")
+    return approx
 
 
 @total_ordering
@@ -192,24 +222,7 @@ class ExactScalar:
         return self._p != 0 or self._q != 0
 
     def __float__(self) -> float:
-        p, q, d = self._p, self._q, self._d
-        if (p < 0 < q) or (q < 0 < p):
-            # Rounded apart, p and q*sqrt3 of opposite signs cancel.  The
-            # conjugate form (p^2 - 3q^2) / (p - q*sqrt3) / d adds like
-            # signs only.  Scaling by 2**-e keeps the squares in range; e
-            # comes from exact bit lengths, as p/d and q/d may underflow.
-            e = max(p.bit_length(), q.bit_length()) - d.bit_length()
-            scaled = _scaled_float(p * p - 3 * q * q, d * d, -2 * e) / (
-                _scaled_float(p, d, -e) - _scaled_float(q, d, -e) * _SQRT3_FLOAT
-            )
-            try:
-                return math.ldexp(scaled, e)
-            except OverflowError:  # near the largest float, where the plain sum is finite
-                pass
-        approx = p / d + q / d * _SQRT3_FLOAT  # p / d raises OverflowError past float range
-        if math.isinf(approx):  # q / d * sqrt3, or the sum, past float range
-            raise OverflowError("exact scalar too large for a float")
-        return approx
+        return _float(self._p, self._q, self._d)
 
     def __str__(self) -> str:
         return _text(self._p, self._q, self._d)

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from ._cyclic import CyclicElement, checked_payload
-from .scalars import ExactScalar, _normalised, _text
+from .scalars import ExactScalar, _float, _normalised, _text
 
 __all__ = ["CyclicTriple"]
 
@@ -43,9 +43,7 @@ def _norm_sq(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int, den: int) -> 
 def _complex(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int, den: int) -> complex:
     """a + b*w + c*w^2 of the parts ``(p + q*sqrt3) / den``, as floats."""
     # re = a - (b + c)/2 and im = (b - c)*sqrt3/2, both over 2*den
-    re = _normalised(2 * pa - pb - pc, 2 * qa - qb - qc, 2 * den)
-    im = _normalised(3 * (qb - qc), pb - pc, 2 * den)
-    return complex(float(re), float(im))
+    return complex(_float(2 * pa - pb - pc, 2 * qa - qb - qc, 2 * den), _float(3 * (qb - qc), pb - pc, 2 * den))
 
 
 class CyclicTriple(CyclicElement):

@@ -6,8 +6,13 @@ records into its own `CheckResult`: `expect` counts each failed law and
 keeps the description of the first.  Algebraic laws are asserted with
 exact arithmetic.
 Pair, triple and matrix samples are drawn straight into payload ints by
-the RNG calls of entry-by-entry `_rand_nonneg` draws, so no `Fraction` is
+the draws of entry-by-entry `_rand_nonneg` calls, so no `Fraction` is
 built and no `checked_payload` runs: the entries are nonnegative by construction.
+Each sample reads `rng.getrandbits` through one `_below` call, as
+`randrange`, `randint` and `choice` read it (k = n.bit_length() bits,
+again while the value is >= n), so every sample, and the generator's
+state after it, is the one those calls give.  Rotation-zero norms are
+compared as their ints, cross-multiplied, with no scalar built.
 `TOLERANCE` (1e-9) is for the checks that go through floating point on
 purpose: the triple -> complex homomorphism, norm vs complex modulus,
 the triangle inequality, the complex and triple round trips, sign vs
@@ -47,15 +52,36 @@ TOLERANCE = 1e-9
 
 _SMALL_DENOMS = (1, 1, 1, 1, 2, 3, 4)
 _DENOMS_LCM = math.lcm(*_SMALL_DENOMS)
+_LCM_OVER_DENOMS = tuple(_DENOMS_LCM // d for d in _SMALL_DENOMS)
 _Check = Callable[[int, random.Random, "CheckResult"], None]
 
 
+def _below(bits: Callable[[int], int], bounds: "tuple[tuple[int, int], ...]") -> "list[int]":
+    """`Random._randbelow(n)` for each ``(n, k)`` of `bounds` in turn, read from
+    `bits` (an `rng.getrandbits`), with ``k == n.bit_length()``: k-bit words until
+    one is below n.  `randrange`, `randint` and `choice` draw exactly so."""
+    drawn = []
+    for n, k in bounds:
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        drawn.append(r)
+    return drawn
+
+
+_DIGIT = ((10, 4),)  # randrange(10), the draw of randint(0, 9)
+_NONNEG = _DIGIT + ((7, 3),)  # then the index of choice(_SMALL_DENOMS)
+_SIGNED = ((199, 8), (99, 7))  # randint(-99, 99) + 99, then randint(1, 99) - 1
+
+
 def _rand_nonneg(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(0, 9), rng.choice(_SMALL_DENOMS))
+    n, i = _below(rng.getrandbits, _NONNEG)
+    return Fraction(n, _SMALL_DENOMS[i])
 
 
 def _rand_signed(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+    n, d = _below(rng.getrandbits, _SIGNED)
+    return Fraction(n - 99, d + 1)
 
 
 def _rand_scalar(rng: random.Random) -> ExactScalar:
@@ -64,12 +90,12 @@ def _rand_scalar(rng: random.Random) -> ExactScalar:
 
 def _nonneg_payload(rng: random.Random, parts: int) -> "tuple[list, int]":
     """The flat ints and denominator of `parts` draws of `_rand_nonneg`, by the
-    same RNG calls in the same order (`randrange(10)` is the draw of `randint(0, 9)`).
-    Each entry is over the lcm of `_SMALL_DENOMS`; `_make` divides out the gcd,
-    and lowest terms are unique, so the element is the same."""
-    den = _DENOMS_LCM
-    num = [n for _ in range(parts) for n in (rng.randrange(10) * (den // rng.choice(_SMALL_DENOMS)), 0)]
-    return num, den
+    same draws in the same order.  Each entry is over the lcm of `_SMALL_DENOMS`;
+    `_make` divides out the gcd, and lowest terms are unique, so the element is the same."""
+    drawn = _below(rng.getrandbits, _NONNEG * parts)
+    num = [0] * (2 * parts)  # the sqrt3 ints stay zero
+    num[::2] = [n * _LCM_OVER_DENOMS[i] for n, i in zip(drawn[::2], drawn[1::2])]
+    return num, _DENOMS_LCM
 
 
 def _rand_pair(rng: random.Random) -> UnsignedPair:
@@ -86,8 +112,10 @@ def _rand_matrix(rng: random.Random) -> CyclicMatrix:
 
 
 def _rand_digit_matrix(rng: random.Random) -> CyclicMatrix:
-    # each entry the draw of randint(0, 9), in part order
-    return CyclicMatrix._make([n for _ in range(9) for n in (rng.randrange(10), 0)], 1)
+    # each entry a draw of randrange(10), in part order
+    num = [0] * 18
+    num[::2] = _below(rng.getrandbits, _DIGIT * 9)
+    return CyclicMatrix._make(num, 1)
 
 
 @record()
@@ -239,10 +267,22 @@ def _check_matrix_norms(n: int, rng: random.Random, rec: CheckResult) -> None:
         )
 
 
+def _norm_ints(m: CyclicMatrix) -> "tuple[int, int, int]":
+    """``m.norm_sq()`` as its ``(p, q, d)`` ints before the gcd, with ``d > 0``."""
+    return _norm_sq_ints(*_row_sum_ints(m._num), m._den)
+
+
 def _norm_sign(m: CyclicMatrix) -> int:
-    """The sign of ``m.norm_sq()``, read from its ints before the gcd (their d is positive)."""
-    p, q, _ = _norm_sq_ints(*_row_sum_ints(m._num), m._den)
+    """The sign of ``m.norm_sq()``, read from its ints."""
+    p, q, _ = _norm_ints(m)
     return _int_sign(p, q)
+
+
+def _same_norm(x: CyclicMatrix, y: CyclicMatrix) -> bool:
+    """``x.norm_sq() == y.norm_sq()``, cross-multiplied over the positive denominators."""
+    p, q, d = _norm_ints(x)
+    p2, q2, d2 = _norm_ints(y)
+    return p * d2 == p2 * d and q * d2 == q2 * d
 
 
 def _check_rotation_zeros(n: int, rng: random.Random, rec: CheckResult) -> None:
@@ -260,7 +300,7 @@ def _check_rotation_zeros(n: int, rng: random.Random, rec: CheckResult) -> None:
                     lambda: f"product absorbs to norm zero: {m}, {selector}",
                 )
                 rec.expect(
-                    (m + zero).norm_sq() == m.norm_sq(),
+                    _same_norm(m + zero, m),
                     lambda: f"addition preserves norm: {m}, {selector}",
                 )
 

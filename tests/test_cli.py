@@ -300,6 +300,28 @@ def test_eval_answers_each_stdin_line_before_the_next_arrives():
         proc.stderr.close()
 
 
+@pytest.mark.parametrize(
+    "command, stdout, status",
+    (
+        ("eval", b"2\n4\n", 1),
+        ("repl", b"sign-free calculator; type an expression, or 'quit' to leave\n> 2\n> > 4\n> \n", 0),
+    ),
+    ids=("eval", "repl"),
+)
+def test_undecodable_stdin_byte_ends_in_one_error_line(command, stdout, status):
+    # strict utf-8, as PYTHONIOENCODING=utf-8 sets it: the byte 0xff decodes to nothing
+    completed = subprocess.run(
+        [sys.executable, "-m", "signfree", command],
+        input=b"1+1\n\xff\n2+2\n",
+        capture_output=True,
+        env=dict(os.environ, PYTHONIOENCODING="utf-8"),
+        timeout=60,
+    )
+    assert completed.stderr == b"error: unexpected character '\\udcff' (at position 0)\n"
+    assert completed.stdout == stdout
+    assert completed.returncode == status
+
+
 @pytest.mark.parametrize("args, golden", ((["roots"], "roots"), (["tables", "--machine"], "tables-machine")))
 def test_console_entry_point(monkeypatch, capsys, args, golden):
     # `main_entry` is the `signfree` script named in pyproject.toml's [project.scripts]

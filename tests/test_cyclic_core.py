@@ -38,7 +38,7 @@ from signfree import (
 )
 from signfree._cyclic import CyclicElement
 from signfree.triples import _norm_sq
-from signfree.verify import _norm_sign
+from signfree.verify import _norm_sign, _same_norm
 
 from unit_reference import UNIT_DEFS
 
@@ -845,6 +845,7 @@ def test_row_sums_and_norm_match_comprehensions():
     for seed in range(600):
         size = _HUGE if seed % 3 == 0 else 9
         matrices.append(CyclicMatrix.from_rows([[row_sum_entry(rng, size) for _ in range(3)] for _ in range(3)]))
+    verdicts = {True: 0, False: 0}
     for i, m in enumerate(matrices):
         sums, ref = m.row_sums(), ref_row_sums(m)
         assert type(sums) is CyclicTriple and (sums._num, sums._den) == (ref._num, ref._den), i
@@ -852,6 +853,15 @@ def test_row_sums_and_norm_match_comprehensions():
         assert type(norm) is ExactScalar, i
         assert (norm._p, norm._q, norm._d) == (ref_norm._p, ref_norm._q, ref_norm._d), i
         assert _norm_sign(m) == norm.sign(), i  # read from the ints before the gcd
+        # equal norms (a rotation zero added, a zero doubled) and unequal ones
+        for other in (m + matrices[16 + i % 27], 2 * m, matrices[i - 1]):
+            same = norm == other.norm_sq()
+            assert _same_norm(m, other) == same, i
+            verdicts[same] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+    # norms 4 + 2*sqrt3 and 4: equal rational parts only
+    root, two = (CyclicMatrix.from_rows([[x, 0, 0], [0, 0, 0], [0, 0, 0]]) for x in (ExactScalar(1, 1), 2))
+    assert not _same_norm(root, two) and not _same_norm(two, root)
 
 
 # The loop `_make` and `_key` that the generated straight-line ones replaced.

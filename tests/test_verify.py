@@ -15,7 +15,7 @@ from signfree import (
     UnsignedPair,
     run_checks,
 )
-from signfree.verify import _rand_digit_matrix, _rand_matrix, _rand_pair, _rand_triple
+from signfree.verify import _rand_digit_matrix, _rand_matrix, _rand_nonneg, _rand_pair, _rand_signed, _rand_triple
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,7 +51,8 @@ def test_rejects_nonpositive_samples():
         run_checks(samples=0)
 
 
-# The draws the payload draws replaced, entry by entry through the public
+# The draws the payload and `getrandbits` draws replaced, made by `randint`,
+# `randrange` and `choice` and entry by entry through the public
 # constructors: the reference for `test_draws_match_entry_by_entry_draws`.
 
 _REF_DENOMS = (1, 1, 1, 1, 2, 3, 4)
@@ -59,6 +60,10 @@ _REF_DENOMS = (1, 1, 1, 1, 2, 3, 4)
 
 def ref_rand_nonneg(rng):
     return Fraction(rng.randint(0, 9), rng.choice(_REF_DENOMS))
+
+
+def ref_rand_signed(rng):
+    return Fraction(rng.randint(-99, 99), rng.randint(1, 99))
 
 
 def ref_rand_digit(rng):
@@ -72,6 +77,8 @@ def ref_rand_matrix(rng, entry):
 
 # name -> (draw, reference draw)
 DRAWS = {
+    "nonneg": (_rand_nonneg, ref_rand_nonneg),
+    "signed": (_rand_signed, ref_rand_signed),
     "pair": (_rand_pair, lambda rng: UnsignedPair(ref_rand_nonneg(rng), ref_rand_nonneg(rng))),
     "triple": (_rand_triple, lambda rng: CyclicTriple(*(ref_rand_nonneg(rng) for _ in range(3)))),
     "matrix": (_rand_matrix, lambda rng: ref_rand_matrix(rng, ref_rand_nonneg)),
@@ -88,8 +95,12 @@ def test_draws_match_entry_by_entry_draws(name):
         rng, ref_rng = random.Random(f"{name}:{seed}"), random.Random(f"{name}:{seed}")
         for k in range(3):
             x, ref = draw(rng), reference(ref_rng)
-            assert type(x) is type(ref) and (x._num, x._den) == (ref._num, ref._den), (seed, k)
+            assert type(x) is type(ref) and _ints(x) == _ints(ref), (seed, k)
             assert rng.getstate() == ref_rng.getstate(), (seed, k)
+
+
+def _ints(x):
+    return (x.numerator, x.denominator) if isinstance(x, Fraction) else (x._num, x._den)
 
 
 def _extra_term(cls):
