@@ -36,7 +36,7 @@ from itertools import product as _iter_product
 from ._cyclic import CyclicElement, checked_payload, join
 from ._record import record
 from .scalars import ExactScalar, _int_sign, _normalised, _text, as_scalar
-from .triples import _COMPONENTS, CyclicTriple, _complex, _norm_sq
+from .triples import _COMPONENTS, CyclicTriple, _complex, _norm_sq_ints, _root
 
 __all__ = [
     "CyclicMatrix",
@@ -92,6 +92,11 @@ def _row_sum_ints(num: tuple) -> "tuple[int, ...]":
     """The six ints of the row sums of a matrix's 18 payload ints."""
     a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5, c0, c1, c2, c3, c4, c5 = num  # columns A, B, C
     return a0 + b0 + c0, a1 + b1 + c1, a2 + b2 + c2, a3 + b3 + c3, a4 + b4 + c4, a5 + b5 + c5
+
+
+def _norm_ints(m: "CyclicMatrix") -> "tuple[int, int, int]":
+    """``m.norm_sq()``, the norm of its row sums, as ``(p, q, d)`` ints before the gcd, with ``d > 0``."""
+    return _norm_sq_ints(*_row_sum_ints(m._num), m._den)
 
 
 def _column_payload(value: object, which: str) -> "tuple[tuple, int]":
@@ -153,10 +158,10 @@ class CyclicMatrix(CyclicElement):
         return CyclicTriple._make(_row_sum_ints(self._num), self._den)
 
     def norm_sq(self) -> ExactScalar:
-        return _norm_sq(*_row_sum_ints(self._num), self._den)  # no triple built
+        return _normalised(*_norm_ints(self))
 
     def norm(self) -> float:
-        return self.row_sums().norm()
+        return _root(*_norm_ints(self))
 
     def characters(self) -> tuple[complex, complex, complex]:
         """Three complex fingerprints, constant on equivalence classes."""

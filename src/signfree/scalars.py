@@ -15,8 +15,9 @@ them (and ints and numeric strings), and the `rat`/`root` properties and
 the hash of a value with a sqrt(3) part return or use them.  `str` and
 `repr` print ``p/d`` and ``q/d`` with one gcd each; `_text` prints any
 ``(p, q, d)`` ints that way, so pairs, triples and matrices print their
-parts with no scalar built.  `_float` is the float view of any such ints,
-so `to_complex` and `characters()` take no gcd either.
+parts with no scalar built.  One rule, `_scaled`, brings any such ints
+into float range: `_float` (so `float()`, `to_complex` and `characters()`)
+and the triple and matrix `norm` read it, with no gcd taken.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from functools import total_ordering
 __all__ = ["ExactScalar", "SQRT3", "as_scalar", "power"]
 
 _SQRT3_FLOAT = math.sqrt(3.0)
-_SUBNORMAL_MARGIN = 2.0**-1000  # over 4x the smallest normal float: one step of e scales top by 4
 
 
 def as_scalar(value: "ExactScalar | Fraction | int | str") -> "ExactScalar":
@@ -76,26 +76,30 @@ def _scaled_float(n: int, d: int, k: int) -> float:
     return (n << k) / d if k >= 0 else n / (d << -k)
 
 
-def _float(p: int, q: int, d: int) -> float:
-    """``(p + q*sqrt(3)) / d`` as a float, for ``d > 0``; the ints need not be
-    in lowest terms.  Raises `OverflowError` past float range."""
+def _scaled(p: int, q: int, d: int) -> "tuple[float, int]":
+    """``(f, e)`` with ``(p + q*sqrt(3)) / d == f * 2**e`` and ``|f|`` near 1, for
+    ``d > 0``: the one rule by which float views reach float range.  Each int
+    quotient is scaled near 1 by exact bit lengths before it is rounded."""
+    e = max(p.bit_length(), q.bit_length()) - d.bit_length()
     if (p < 0 < q) or (q < 0 < p):
-        # Rounded apart, p and q*sqrt3 of opposite signs cancel.  The
-        # conjugate form (p^2 - 3q^2) / (p - q*sqrt3) / d adds like
-        # signs only.  Scaling by 2**-e keeps the squares in range; e
-        # comes from exact bit lengths, as p/d and q/d may underflow.
-        e = max(p.bit_length(), q.bit_length()) - d.bit_length()
-        top = _scaled_float(p * p - 3 * q * q, d * d, -2 * e)
-        if abs(top) < _SUBNORMAL_MARGIN:
-            # A subnormal top keeps fewer bits, so its rounding depends on e,
-            # which a common factor of the ints can move by one: round the
-            # ints in lowest terms, as a scalar holds them.
-            g = math.gcd(p, q, d)
-            if g != 1:
-                return _float(p // g, q // g, d // g)
-        scaled = top / (_scaled_float(p, d, -e) - _scaled_float(q, d, -e) * _SQRT3_FLOAT)
+        # Rounded apart, p and q*sqrt3 of opposite signs cancel: the conjugate form
+        # (p^2 - 3q^2) / (p - q*sqrt3) / d adds like signs only.  Its numerator, far
+        # below p^2 when they nearly cancel, is scaled by its own bit length.
+        n = p * p - 3 * q * q
+        s = n.bit_length() - 2 * d.bit_length()
+        top = _scaled_float(n, d * d, -s)
+        return top / (_scaled_float(p, d, -e) - _scaled_float(q, d, -e) * _SQRT3_FLOAT), s - e
+    return _scaled_float(p, d, -e) + _scaled_float(q, d, -e) * _SQRT3_FLOAT, e
+
+
+def _float(p: int, q: int, d: int) -> float:
+    """``(p + q*sqrt(3)) / d`` as a float, for ``d > 0``: by `_scaled` if the parts
+    have opposite signs, else the plain sum, which rounds each part once also where
+    it is subnormal.  The ints need not be in lowest terms.  Raises `OverflowError`
+    past float range."""
+    if (p < 0 < q) or (q < 0 < p):
         try:
-            return math.ldexp(scaled, e)
+            return math.ldexp(*_scaled(p, q, d))
         except OverflowError:  # near the largest float, where the plain sum is finite
             pass
     approx = p / d + q / d * _SQRT3_FLOAT  # p / d raises OverflowError past float range

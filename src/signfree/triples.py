@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from ._cyclic import CyclicElement, checked_payload
-from .scalars import ExactScalar, _float, _normalised, _text
+from .scalars import ExactScalar, _float, _normalised, _scaled, _text
 
 __all__ = ["CyclicTriple"]
 
@@ -35,9 +35,11 @@ def _norm_sq_ints(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int, den: int
     )
 
 
-def _norm_sq(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int, den: int) -> ExactScalar:
-    """`_norm_sq_ints` as an `ExactScalar`."""
-    return _normalised(*_norm_sq_ints(pa, qa, pb, qb, pc, qc, den))
+def _root(p: int, q: int, d: int) -> float:
+    """The square root of ``(p + q*sqrt3) / d >= 0`` by `_scaled`, so a root
+    in float range is found even where the square is past it."""
+    f, e = _scaled(p, q, d)
+    return math.ldexp(math.sqrt(math.ldexp(f, e & 1)), e >> 1)
 
 
 def _complex(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int, den: int) -> complex:
@@ -95,18 +97,11 @@ class CyclicTriple(CyclicElement):
         Invariant under adding constant vectors, multiplicative, and zero
         exactly when a = b = c.
         """
-        return _norm_sq(*self._num, self._den)
+        return _normalised(*_norm_sq_ints(*self._num, self._den))
 
     def norm(self) -> float:
-        square = self.norm_sq()
-        if not square:
-            return 0.0
-        # sqrt(square / 4**k) * 2**k, exact in the scaling, so a root in float
-        # range is found even where the square is past it
-        p, q, d = square._p, square._q, square._d
-        k = (max(p.bit_length(), q.bit_length() + 1) - d.bit_length()) // 2  # square / 4**k is near 1
-        scaled = _normalised(p, q, d << 2 * k) if k >= 0 else _normalised(p << -2 * k, q << -2 * k, d)
-        return math.ldexp(math.sqrt(float(scaled)), k)
+        """The length ``sqrt(norm_sq())`` as a float, read from the norm's ints."""
+        return _root(*_norm_sq_ints(*self._num, self._den))
 
     def conj(self) -> "CyclicTriple":
         """Swap b and c: the complex conjugate under the quotient."""

@@ -36,14 +36,14 @@ from ._record import record
 from .matrices import (
     CyclicMatrix,
     RowSelector,
-    _row_sum_ints,
+    _norm_ints,
     absolute_zero,
     characters_close,
     rotation_zero,
 )
 from .pairs import UnsignedPair
 from .scalars import ExactScalar, _int_sign
-from .triples import CyclicTriple, _norm_sq_ints
+from .triples import CyclicTriple
 from .units import IMAGINARY_FAMILY, PLUS_FAMILY, UNIT_VALUES
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_checks", "TOLERANCE"]
@@ -265,11 +265,6 @@ def _check_matrix_norms(n: int, rng: random.Random, rec: CheckResult) -> None:
             (x * y).norm_sq() == x.norm_sq() * y.norm_sq(),
             lambda: f"norm multiplicativity: {x}, {y}",
         )
-
-
-def _norm_ints(m: CyclicMatrix) -> "tuple[int, int, int]":
-    """``m.norm_sq()`` as its ``(p, q, d)`` ints before the gcd, with ``d > 0``."""
-    return _norm_sq_ints(*_row_sum_ints(m._num), m._den)
 
 
 def _norm_sign(m: CyclicMatrix) -> int:

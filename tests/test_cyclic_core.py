@@ -37,7 +37,8 @@ from signfree import (
     rotation_zero,
 )
 from signfree._cyclic import CyclicElement
-from signfree.triples import _norm_sq
+from signfree.scalars import _normalised
+from signfree.triples import _norm_sq_ints
 from signfree.verify import _norm_sign, _same_norm
 
 from unit_reference import UNIT_DEFS
@@ -827,7 +828,7 @@ def ref_row_sums(m):
 
 def ref_matrix_norm_sq(m):
     num = m._num
-    return _norm_sq(*[num[k] + num[k + 6] + num[k + 12] for k in range(6)], m._den)
+    return _normalised(*_norm_sq_ints(*[num[k] + num[k + 6] + num[k + 12] for k in range(6)], m._den))
 
 
 def row_sum_entry(rng, size):

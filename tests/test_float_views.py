@@ -1,20 +1,34 @@
-"""Float views read from ints not in lowest terms.
+"""Float views: one scaling rule, ints not in lowest terms, exact oracles.
 
-`scalars._float(p, q, d)` rounds ``(p + q*sqrt3) / d`` with no gcd taken,
-and `triples._complex` (so `to_complex` and `characters()`) hands it its
-ints unnormalised.  The reference divides out the gcd first, as a scalar
-in lowest terms holds them: the results must be bit for bit the same,
-and past float range both must raise `OverflowError`.
+`scalars._scaled(p, q, d)` is the one rule that brings ``(p + q*sqrt3) / d``
+into float range.  `scalars._float` reads it where the parts have opposite
+signs, `triples._complex` (so `to_complex` and `characters()`) hands
+`_float` its ints unnormalised, and the triple and matrix `norm` take the
+root of its result for the norm's ints.  Three references check them:
+
+* the normalise-then-float form, as a scalar in lowest terms holds its
+  ints: a common factor must change no bit, and past float range both
+  must raise `OverflowError`;
+* the former `_float` and `norm`, kept here, which scaled the cancelling
+  form's numerator by the parts' bit lengths and so let it fall into the
+  subnormal floats: bit for bit the same wherever that numerator was at
+  least 2**-1000;
+* 1,500-digit `decimal` values: within 2 ulp wherever the exact value is
+  a normal float, also on near-cancelling sqrt3 convergents, where the
+  former code printed 0.
 """
 
 import cmath
+import decimal
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from signfree import UNIT_VALUES, CyclicMatrix, CyclicTriple, RowSelector, rotation_zero
+from signfree import UNIT_VALUES, CyclicMatrix, CyclicTriple, ExactScalar, RowSelector, rotation_zero
+from signfree.cli import _eval_line
 from signfree.scalars import _float, _normalised
 
 FACTORS = (1, 2, 3, 6, 2**64, 3**40, 10**12 + 39)
@@ -79,20 +93,18 @@ def test_float_past_float_range_raises_as_lowest_terms(value):
         assert outcome(_float, p, q, d) == outcome(ref_float, p, q, d)
 
 
-def ref_complex(pa, qa, pb, qb, pc, qc, den):
-    """The normalise-then-float form of `triples._complex`."""
-    re = _normalised(2 * pa - pb - pc, 2 * qa - qb - qc, 2 * den)
-    im = _normalised(3 * (qb - qc), pb - pc, 2 * den)
-    return complex(float(re), float(im))
+def ref_complex(pa, qa, pb, qb, pc, qc, den, to_float=ref_float):
+    """`triples._complex` with `to_float` for `_float`; by default the normalise-then-float form."""
+    return complex(to_float(2 * pa - pb - pc, 2 * qa - qb - qc, 2 * den), to_float(3 * (qb - qc), pb - pc, 2 * den))
 
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 _OMEGA2 = complex(-0.5, -math.sqrt(3.0) / 2.0)
 
 
-def ref_characters(m):
+def ref_characters(m, to_float=ref_float):
     num, den = m._num, m._den
-    pa, pb, pc = (ref_complex(*num[k : k + 6], den) for k in (0, 6, 12))
+    pa, pb, pc = (ref_complex(*num[k : k + 6], den, to_float) for k in (0, 6, 12))
     chars = (pa + pb + pc, pa + _OMEGA * pb + _OMEGA2 * pc, pa + _OMEGA2 * pb + _OMEGA * pc)
     if not all(map(cmath.isfinite, chars)):
         raise OverflowError("characters too large for a float")
@@ -111,11 +123,14 @@ def seeded_payloads(parts):
 
 
 def test_to_complex_matches_normalised_parts():
+    triples = [CyclicTriple._make(num, den) for num, den in seeded_payloads(3)]
+    zeros = [rotation_zero(selector, Fraction(7, 3)) for selector in RowSelector.all()]
+    triples += [column for m in [*UNIT_VALUES.values(), *zeros] for column in m.columns]
     raised = 0
-    for num, den in seeded_payloads(3):
-        t = CyclicTriple._make(num, den)
+    for t in triples:
         expected = outcome(lambda: ref_complex(*t._num, t._den))
-        assert outcome(t.to_complex) == expected, (num, den)
+        assert outcome(t.to_complex) == expected, t
+        assert outcome(lambda: ref_complex(*t._num, t._den, former_float)) == expected, t
         raised += expected is OverflowError
     assert raised
 
@@ -128,5 +143,173 @@ def test_characters_match_normalised_parts():
     for m in matrices:
         expected = outcome(ref_characters, m)
         assert outcome(m.characters) == expected, m
+        assert outcome(ref_characters, m, former_float) == expected, m
         raised += expected is OverflowError
     assert raised
+
+
+# The former float view and norm, kept as references.  They scaled the
+# cancelling form's numerator by 2e, from the parts' bit lengths, took the
+# gcd where it fell below 2**-1000, and `norm` built a normalised square
+# and scaled it by a second rule of its own.
+
+_SQRT3_FLOAT = math.sqrt(3.0)
+_SUBNORMAL_MARGIN = 2.0**-1000
+
+
+def scaled_float(n, d, k):
+    return (n << k) / d if k >= 0 else n / (d << -k)
+
+
+def former_numerator(p, q, d):
+    """The former `_float`'s scaled numerator (p^2 - 3q^2) / d^2 * 2**-2e."""
+    e = max(p.bit_length(), q.bit_length()) - d.bit_length()
+    return scaled_float(p * p - 3 * q * q, d * d, -2 * e)
+
+
+def former_float(p, q, d):
+    """The former `_float`."""
+    if (p < 0 < q) or (q < 0 < p):
+        e = max(p.bit_length(), q.bit_length()) - d.bit_length()
+        top = former_numerator(p, q, d)
+        if abs(top) < _SUBNORMAL_MARGIN:
+            g = math.gcd(p, q, d)
+            if g != 1:
+                return former_float(p // g, q // g, d // g)
+        scaled = top / (scaled_float(p, d, -e) - scaled_float(q, d, -e) * _SQRT3_FLOAT)
+        try:
+            return math.ldexp(scaled, e)
+        except OverflowError:
+            pass
+    approx = p / d + q / d * _SQRT3_FLOAT
+    if math.isinf(approx):
+        raise OverflowError("exact scalar too large for a float")
+    return approx
+
+
+def former_norm(square):
+    """The former `norm` of the exact `norm_sq()` value `square`."""
+    if not square:
+        return 0.0
+    p, q, d = square._p, square._q, square._d
+    k = (max(p.bit_length(), q.bit_length() + 1) - d.bit_length()) // 2
+    scaled = _normalised(p, q, d << 2 * k) if k >= 0 else _normalised(p << -2 * k, q << -2 * k, d)
+    return math.ldexp(math.sqrt(former_float(scaled._p, scaled._q, scaled._d)), k)
+
+
+def cancelling(p, q):
+    return (p < 0 < q) or (q < 0 < p)
+
+
+def differential_cases():
+    """30,000 seeded (p, q, d): both sign patterns, ints up to 2**1100, d up to
+    2**1200, every third p within 2 of -q*sqrt3 so the parts nearly cancel."""
+    rng = random.Random("former float view")
+    for k in range(30000):
+        bits, d_bits = ((64, 64), (1100, 8), (8, 1200), (700, 700), (540, 300))[k % 5]
+        p, q = signed_ints(rng, bits)
+        if k % 3 == 0 and q:
+            root = math.isqrt(3 * q * q) + rng.randint(-2, 2)
+            p = -root if q > 0 else root
+        yield p, q, rng.randrange(1, 2 ** rng.randrange(1, d_bits + 1) + 1)
+
+
+def test_float_matches_former_float_above_its_margin():
+    seen = {"raised": 0, "like signs": 0, "cancelling": 0, "below the margin": 0}
+    for p, q, d in differential_cases():
+        if cancelling(p, q) and abs(former_numerator(p, q, d)) < _SUBNORMAL_MARGIN:
+            seen["below the margin"] += 1  # where the former code lost digits
+            continue
+        expected = outcome(former_float, p, q, d)
+        assert outcome(_float, p, q, d) == expected, (p, q, d)
+        seen["raised"] += expected is OverflowError
+        seen["cancelling" if cancelling(p, q) else "like signs"] += 1
+    assert all(seen.values()), seen
+
+
+def norm_payloads(parts):
+    """`seeded_payloads`, and each again over a huge denominator, so norms
+    run from past float range down to below the smallest float."""
+    for num, den in seeded_payloads(parts):
+        yield num, den
+        yield num, den * 3**700
+
+
+@pytest.mark.parametrize("cls, parts", [(CyclicTriple, 3), (CyclicMatrix, 9)])
+def test_norm_matches_former_norm(cls, parts):
+    seen = {"raised": 0, "zero": 0, "subnormal": 0, "normal": 0}
+    elements = [cls._make(num, den) for num, den in norm_payloads(parts)]
+    if cls is CyclicMatrix:
+        elements += list(UNIT_VALUES.values()) + [rotation_zero(s, Fraction(7, 3)) for s in RowSelector.all()]
+    for x in elements:
+        expected = outcome(lambda: former_norm(x.norm_sq()))
+        assert outcome(x.norm) == expected, x
+        if expected is OverflowError:
+            seen["raised"] += 1
+        else:
+            value = float.fromhex(expected[0])
+            seen["zero" if value == 0 else "normal" if value >= sys.float_info.min else "subnormal"] += 1
+    assert all(seen.values()), seen
+
+
+# Exact values to 1,500 digits, enough for ints up to 2**1100 that cancel
+# down to about 2**-1100.
+
+_PRECISION = 1500
+with decimal.localcontext() as _ctx:
+    _ctx.prec = _PRECISION
+    _SQRT3_DECIMAL = decimal.Decimal(3).sqrt()
+
+
+def exact_value(p, q, d):
+    with decimal.localcontext() as ctx:
+        ctx.prec = _PRECISION
+        return (decimal.Decimal(p) + decimal.Decimal(q) * _SQRT3_DECIMAL) / decimal.Decimal(d)
+
+
+def within_2_ulp(got, exact):
+    """Whether `got` is within 2 ulp of the exact value, or None where that value is not a normal float."""
+    want = float(exact)  # correctly rounded
+    if not sys.float_info.min <= abs(want) <= sys.float_info.max:
+        return None
+    return abs(got - want) <= 2 * math.ulp(want)
+
+
+def convergent_cases():
+    """The sqrt3 convergents p^2 - 3q^2 = 1 (2, 1), ... and -2 (1, 1), ... up
+    to 2**1100 as near-cancelling p - q*sqrt3, both signs, over five d."""
+    for p, q in ((2, 1), (1, 1)):
+        while p.bit_length() <= 1100:
+            for d in (1, 3, 7, 10**30 + 1, 2**700):
+                yield p, -q, d
+                yield -p, q, d
+            p, q = 2 * p + 3 * q, p + 2 * q
+
+
+def test_float_of_convergents_within_2_ulp():
+    verdicts = [within_2_ulp(_float(p, q, d), exact_value(p, q, d)) for p, q, d in convergent_cases()]
+    assert False not in verdicts
+    assert verdicts.count(True) > 9000  # of 11,580; the rest are not normal floats
+
+
+def test_norm_of_small_powers_within_2_ulp():
+    # the exact norm of t{x,0,0} and of m{[x,0,0];[0,0,0];[0,0,0]} is x, here (2 - sqrt3)^n
+    for n in range(1, 531):
+        x = ExactScalar(2, -1) ** n
+        exact = exact_value(x._p, x._q, x._d)
+        zero = ExactScalar(0)
+        for element in (CyclicTriple(x, 0, 0), CyclicMatrix.from_rows([[x, zero, zero], [zero] * 3, [zero] * 3])):
+            assert within_2_ulp(element.norm(), exact), (n, element.norm(), float(exact))
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [
+        ("norm(t{(2-sqrt3)^142,0,0})", "6.073628863e-82"),
+        ("tocomplex(t{(2-sqrt3)^300,0,0})", "2.60456823704e-172+0*i"),
+        ("norm(m{[(2-sqrt3)^150,0,0];[0,0,0];[0,0,0]})", "1.61386747815e-86"),
+    ],
+)
+def test_near_cancelling_values_print_their_digits(text, shown, capsys):
+    assert _eval_line(text) == 0
+    assert capsys.readouterr().out == shown + "\n"
