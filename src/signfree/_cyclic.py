@@ -14,9 +14,10 @@ scale factor is the element with the factor at part 0, the identity
 of G, and zeros elsewhere.  Each shape's `_make`, which builds every
 result in lowest terms, and `_key`, its equality key, are generated
 the same way (`straight_line_make`, `straight_line_key`): the ints
-unpacked by name, one gcd, and a divide written out for each int.
-The loops these replaced are kept in ``tests/test_cyclic_core.py`` as
-the reference.
+unpacked by name, one gcd, and a divide written out for each int.  So
+is its sum, `__add__` (`straight_line_sum`): the ints added pairwise
+over equal denominators, else cross-multiplied.  The loops these
+replaced are kept in ``tests/test_cyclic_core.py`` as the reference.
 
 An element holds its n parts as one flat tuple of ints
 ``(p0, q0, p1, q1, ...)`` over one shared denominator ``d > 0``: part i
@@ -41,8 +42,9 @@ int, Fraction or scalar by its type), tests its sign once and joins the
 entries over one denominator.  Sums, products and reductions of
 nonnegative parts stay nonnegative, so results are built unchecked by
 the class's ``_make``.  ``*``, ``**``, ``==``, ``hash`` and `reduce()` are
-written once, here, and each public class gets its own copy of them, so
-per-class instrumentation (``bench/tracing.py``) can wrap each apart.
+written once, here, and each public class gets its own copy of them (and
+its own generated ``+``), so per-class instrumentation
+(``bench/tracing.py``) can wrap each apart.
 """
 
 from __future__ import annotations
@@ -147,6 +149,31 @@ def straight_line_make(size: int, name: str) -> "Callable[..., CyclicElement]":
     return _compiled(source, name, "make")
 
 
+def straight_line_sum(size: int, name: str) -> "Callable[[CyclicElement, object], CyclicElement]":
+    """`__add__(self, other)` for elements of `size` flat ints, as one
+    generated function compiled under ``<signfree NAME add>``.
+
+    Another shape or a non-element gives `NotImplemented`.  Over equal
+    denominators it adds the ints pairwise, else it cross-multiplies them
+    over ``dx * dy``; the class's `_make` divides out the gcd either way.
+    """
+    add = ", ".join(f"x{i} + y{i}" for i in range(size))
+    cross = ", ".join(f"x{i} * dy + y{i} * dx" for i in range(size))
+    source = (
+        "def add(self, other):\n"
+        "    if not isinstance(other, type(self)):\n"
+        "        return NotImplemented\n"
+        f"    {_names('x', size)}= self._num\n"
+        f"    {_names('y', size)}= other._num\n"
+        "    dx = self._den\n"
+        "    dy = other._den\n"
+        "    if dx == dy:\n"
+        f"        return self._make(({add}), dx)\n"
+        f"    return self._make(({cross}), dx * dy)\n"
+    )
+    return _compiled(source, name, "add")
+
+
 def straight_line_key(size: int, pairs: list, name: str) -> "Callable[[CyclicElement], tuple]":
     """`_key(self)` as one generated function compiled under
     ``<signfree NAME key>``: the differences ``x[i] - x[j]`` over `pairs`
@@ -229,9 +256,9 @@ class CyclicElement:
     Subclasses set `_NOUN`, their plural for error texts, and `_ORDERS`,
     the cyclic factors of their group; the last factor's order is the
     length of a run.  Each subclass gets its own copy of the operators and
-    `reduce` below, and defines none of them itself; its product, `_make`
-    (nonnegative ints over a denominator, to an element in lowest terms)
-    and `_key` are generated for its shape when it is created.
+    `reduce` below, and defines none of them itself; its product, sum,
+    `_make` (nonnegative ints over a denominator, to an element in lowest
+    terms) and `_key` are generated for its shape when it is created.
     """
 
     __slots__ = ("_num", "_den")
@@ -245,6 +272,7 @@ class CyclicElement:
         cls._ZEROS = (0,) * (size - 2)  # the parts after part 0 of a scale factor
         cls._RUN = run = 2 * cls._ORDERS[-1]  # flat ints per run
         cls._make = classmethod(straight_line_make(size, name))
+        cls.__add__ = straight_line_sum(size, name)
         # (i, j): flat int i and the same int (p or q) of its run's first part
         key_pairs = [(start + i, start + i % 2) for start in range(0, size, run) for i in range(2, run)]
         cls._key = straight_line_key(size, key_pairs, name)
@@ -282,14 +310,6 @@ class CyclicElement:
     @property
     def components(self) -> tuple:
         return tuple(self._part(i) for i in range(len(self._num) // 2))
-
-    def __add__(self, other: object) -> "CyclicElement":
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        dx, dy = self._den, other._den
-        if dx == dy:
-            return self._make([x + y for x, y in zip(self._num, other._num)], dx)
-        return self._make([x * dy + y * dx for x, y in zip(self._num, other._num)], dx * dy)
 
     def __mul__(self, other: object) -> "CyclicElement":
         if isinstance(other, type(self)):

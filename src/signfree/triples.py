@@ -12,7 +12,6 @@ is the complex plane: ``(a, b, c)`` stands for ``a + b*w + c*w**2`` with
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ._cyclic import CyclicElement, checked_payload
 from .scalars import ExactScalar, _float, _normalised, _scaled, _text
@@ -20,7 +19,15 @@ from .scalars import ExactScalar, _float, _normalised, _scaled, _text
 __all__ = ["CyclicTriple"]
 
 _COMPONENTS = ("component a", "component b", "component c")  # entry names in errors
-_COMPLEX_DIGITS = 12  # decimal places `from_complex` keeps of each part
+_COMPLEX_SCALE = 10**12  # `from_complex` keeps 12 decimal places of each part
+
+
+def _round_scaled(v: float) -> int:
+    """``round(Fraction(v) * 10**12)`` from v's int ratio: the nearest int,
+    ties to even."""
+    n, d = v.as_integer_ratio()  # d is a power of 2
+    q, r = divmod(n * _COMPLEX_SCALE, d)
+    return q + 1 if 2 * r > d or (2 * r == d and q & 1) else q
 
 
 def _norm_sq_ints(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int, den: int) -> "tuple[int, int, int]":
@@ -69,15 +76,13 @@ class CyclicTriple(CyclicElement):
         z = complex(value)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("cannot represent a non-finite complex value")
-        scale = 10**_COMPLEX_DIGITS
-        x = round(Fraction(z.real) * scale)
-        y = round(Fraction(z.imag) * scale)
-        # ints over 3*scale: the real part is 3x at a (x >= 0) or -3x at b
+        x, y = _round_scaled(z.real), _round_scaled(z.imag)
+        # ints over 3 * _COMPLEX_SCALE: the real part is 3x at a (x >= 0) or -3x at b
         # and c; i*y is exactly y*sqrt3 times (1, 2, 0), as 1 + 2w = i*sqrt3,
         # for y >= 0 and |y|*sqrt3 times (1, 0, 2), as 1 + 2w**2 = -i*sqrt3, else
         a, b, c = (3 * x, 0, 0) if x >= 0 else (0, -3 * x, -3 * x)
         num = (a, y, b, 2 * y, c, 0) if y >= 0 else (a, -y, b, 0, c, -2 * y)
-        return cls._make(num, 3 * scale).reduce()
+        return cls._make(num, 3 * _COMPLEX_SCALE).reduce()
 
     @property
     def a(self) -> ExactScalar:

@@ -13,6 +13,9 @@ Each sample reads `rng.getrandbits` through one `_below` call, as
 again while the value is >= n), so every sample, and the generator's
 state after it, is the one those calls give.  Rotation-zero norms are
 compared as their ints, cross-multiplied, with no scalar built.
+No term is computed twice: the 54 rotation zeros are constants, built
+once at import (`_ROTATION_ZEROS`), and each ring-law sample computes
+x*y, x + y and y + z once and reuses them in every law and in closure.
 `TOLERANCE` (1e-9) is for the checks that go through floating point on
 purpose: the triple -> complex homomorphism, norm vs complex modulus,
 the triangle inequality, the complex and triple round trips, sign vs
@@ -144,17 +147,18 @@ def _ring_laws(draw: Callable[[random.Random], object], reducible: bool = False)
     def check(n: int, rng: random.Random, rec: CheckResult) -> None:
         for _ in range(n):
             x, y, z = (draw(rng) for _ in range(3))
-            rec.expect(x + y == y + x, lambda: f"add commutativity: {x}, {y}")
-            rec.expect((x + y) + z == x + (y + z), lambda: f"add associativity: {x}, {y}, {z}")
-            rec.expect(x * y == y * x, lambda: f"mul commutativity: {x}, {y}")
-            rec.expect((x * y) * z == x * (y * z), lambda: f"mul associativity: {x}, {y}, {z}")
-            rec.expect(x * (y + z) == x * y + x * z, lambda: f"distributivity: {x}, {y}, {z}")
+            xy, x_plus_y, y_plus_z = x * y, x + y, y + z
+            rec.expect(x_plus_y == y + x, lambda: f"add commutativity: {x}, {y}")
+            rec.expect(x_plus_y + z == x + y_plus_z, lambda: f"add associativity: {x}, {y}, {z}")
+            rec.expect(xy == y * x, lambda: f"mul commutativity: {x}, {y}")
+            rec.expect(xy * z == x * (y * z), lambda: f"mul associativity: {x}, {y}, {z}")
+            rec.expect(x * y_plus_z == xy + x * z, lambda: f"distributivity: {x}, {y}, {z}")
             if not reducible:
                 continue
             reduced = x.reduce()
             rec.expect(reduced.reduce().components == reduced.components, lambda: f"reduce idempotence: {x}")
             rec.expect(reduced.is_reduced and x == reduced, lambda: f"reduce equivalence: {x}")
-            rec.expect(all(part.sign() >= 0 for part in (x * y).components), lambda: f"closure: {x} * {y}")
+            rec.expect(all(part.sign() >= 0 for part in xy.components), lambda: f"closure: {x} * {y}")
 
     return check
 
@@ -280,24 +284,32 @@ def _same_norm(x: CyclicMatrix, y: CyclicMatrix) -> bool:
     return p * d2 == p2 * d and q * d2 == q2 * d
 
 
+# (selector, xi, rotation_zero(selector, xi)) in the order the check meets them:
+# xi = 1, then 7/3, each through `RowSelector.all()`; that order decides which
+# draws meet which zero
+_ROTATION_ZEROS = tuple(
+    (selector, xi, rotation_zero(selector, xi))
+    for xi in (Fraction(1), Fraction(7, 3))
+    for selector in RowSelector.all()
+)
+
+
 def _check_rotation_zeros(n: int, rng: random.Random, rec: CheckResult) -> None:
-    for xi in (Fraction(1), Fraction(7, 3)):
-        for selector in RowSelector.all():
-            zero = rotation_zero(selector, xi)
+    for selector, xi, zero in _ROTATION_ZEROS:
+        rec.expect(
+            _norm_sign(zero) == 0,
+            lambda: f"rotation zero norm: {selector} xi={xi}",
+        )
+        for _ in range(n):
+            m = _rand_digit_matrix(rng)
             rec.expect(
-                _norm_sign(zero) == 0,
-                lambda: f"rotation zero norm: {selector} xi={xi}",
+                _norm_sign(m * zero) == 0,
+                lambda: f"product absorbs to norm zero: {m}, {selector}",
             )
-            for _ in range(n):
-                m = _rand_digit_matrix(rng)
-                rec.expect(
-                    _norm_sign(m * zero) == 0,
-                    lambda: f"product absorbs to norm zero: {m}, {selector}",
-                )
-                rec.expect(
-                    _same_norm(m + zero, m),
-                    lambda: f"addition preserves norm: {m}, {selector}",
-                )
+            rec.expect(
+                _same_norm(m + zero, m),
+                lambda: f"addition preserves norm: {m}, {selector}",
+            )
 
 
 def _character_pattern(matrix: CyclicMatrix) -> "tuple[complex, ...] | None":

@@ -11,7 +11,8 @@ Further down, the loop `convolve` over an index table is the reference
 for the core's generated straight-line product, the old per-entry
 construction path the reference for its checked construction, and
 comprehensions over the payload ints the reference for a matrix's row
-sums and norm.
+sums and norm, and the loops the generated `_make`, `_key` and sum
+replaced the reference for those.
 """
 
 import cmath
@@ -930,3 +931,75 @@ def test_generated_make_and_key_match_loops(name):
         branches.add((ref._den != den, key[1] != got._den))
     # each of gcd 1 and gcd > 1, in make and in key, together
     assert branches == {(False, False), (False, True), (True, False), (True, True)}, name
+
+
+# The loop `__add__` that the generated straight-line sum replaced.
+
+
+def ref_sum(x, y):
+    if not isinstance(y, type(x)):
+        return NotImplemented
+    dx, dy = x._den, y._den
+    if dx == dy:
+        return ref_make(type(x), [a + b for a, b in zip(x._num, y._num)], dx)
+    return ref_make(type(x), [a * dy + b * dx for a, b in zip(x._num, y._num)], dx * dy)
+
+
+def sum_operands(name, rng):
+    """Elements of one shape: zero, constant runs, units, rotation and
+    absolute zeros for matrices, and seeded payloads with ints up to 125
+    bits over denominators up to 12 or of 64 bits."""
+    cls, orders = PRODUCT_SHAPES[name]
+    size, run = 2 * math.prod(orders), 2 * orders[-1]
+    elements = [cls.zero()]
+    # one part 1 (the group elements) and -1, reduced
+    elements += [cls._make([int(k == 2 * part) for k in range(size)], 1) for part in range(size // 2)]
+    elements.append(cls.from_signed(-1))
+    # each run a constant vector: a zero of the quotient
+    constants = [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(size // run)]
+    elements.append(cls._make([n for p, q in constants for n in (p, q) * (run // 2)], 3))
+    if name == "matrix":
+        elements += UNIT_VALUES.values()
+        elements += [rotation_zero(s, Fraction(rng.randint(1, 9), rng.randint(1, 4))) for s in RowSelector.all()]
+        for _ in range(8):
+            elements.append(absolute_zero(*(Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(3))))
+    for i in range(300):
+        bits = rng.choice((4, 20, 64, 125))
+        den = rng.randint(1, 12) if i % 4 else rng.getrandbits(64) | 1
+        elements.append(cls._make([rng.getrandbits(bits) if rng.random() < 0.8 else 0 for _ in range(size)], den))
+    return elements
+
+
+@pytest.mark.parametrize("name", PRODUCT_SHAPES)
+def test_generated_sum_matches_loop(name):
+    cls = PRODUCT_SHAPES[name][0]
+    rng = random.Random(f"sum:{name}")
+    elements = sum_operands(name, rng)
+    assert max(max(x._num).bit_length() for x in elements) == 125
+    pairs = [(x, x) for x in elements] + [(x, rng.choice(elements)) for x in elements]
+    # another element's ints over x's denominator, so that equal denominators meet every kind of payload
+    pairs += [(x, cls._make(rng.choice(elements)._num, x._den)) for x in elements]
+    dens = {True: 0, False: 0}
+    for i, (x, y) in enumerate(pairs):
+        for a, b in ((x, y), (y, x)):
+            got, ref = a + b, ref_sum(a, b)
+            assert type(got) is cls and type(got._num) is tuple, (name, i)
+            assert (got._num, got._den) == (ref._num, ref._den), (name, i)
+        dens[x._den == y._den] += 1
+    assert dens[True] > 100 and dens[False] > 100, dens
+
+
+def test_generated_sum_refuses_other_operands():
+    classes = (UnsignedPair, CyclicTriple, CyclicMatrix)
+    for cls in classes:
+        x = cls.one()
+        for other in (1, Fraction(1, 2), ExactScalar(1), 1.5, "1", *(c.one() for c in classes if c is not cls)):
+            assert x.__add__(other) is NotImplemented, (cls, other)
+            with pytest.raises(TypeError):
+                x + other
+            with pytest.raises(TypeError):
+                other + x
+    # each class owns its own generated sum, compiled under its shape's name
+    assert "__add__" not in vars(CyclicElement)
+    filenames = [vars(cls)["__add__"].__code__.co_filename for cls in classes]
+    assert filenames == ["<signfree C2 add>", "<signfree C3 add>", "<signfree C3xC3 add>"]

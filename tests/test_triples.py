@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from signfree import CyclicMatrix, CyclicTriple, ExactScalar
 from signfree.scalars import _normalised
+from signfree.triples import _round_scaled
 
 # independent oracle for the complex reading: a + b*w + c*w^2
 OMEGA = cmath.exp(2j * cmath.pi / 3)
@@ -267,6 +268,19 @@ def test_from_complex_matches_checked_reference():
         assert (new._num, new._den) == (old._num, old._den), z
     # every kind of part reached with each sign, in both the real and the imaginary part
     assert len(kinds) == 2 * 5 * 2
+
+
+def test_int_rounding_matches_fraction_round():
+    """`_round_scaled` against the `round(Fraction(v) * 10**12)` it replaced,
+    which rounds ties to even."""
+    rng = random.Random(24)
+    ties = [k / 2**13 for k in range(-4096, 4097)]  # k odd: k * 10**12 / 2**13 ends in .5
+    uniforms = [rng.uniform(-100, 100) for _ in range(5_000)]
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.5e-12, -0.5e-12, 1.5e-12, 2.5e-12]
+    for v in ties + uniforms + edges:
+        assert _round_scaled(v) == round(Fraction(v) * 10**12), v
+    # the ties round both ways: to even from an odd floor and from an even one
+    assert {_round_scaled(k / 2**13) - k * 10**12 // 2**13 for k in (1, 3)} == {0, 1}
 
 
 def test_scaling():

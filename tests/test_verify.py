@@ -15,7 +15,16 @@ from signfree import (
     UnsignedPair,
     run_checks,
 )
-from signfree.verify import _rand_digit_matrix, _rand_matrix, _rand_nonneg, _rand_pair, _rand_signed, _rand_triple
+from signfree.matrices import RowSelector, rotation_zero
+from signfree.verify import (
+    _ROTATION_ZEROS,
+    _rand_digit_matrix,
+    _rand_matrix,
+    _rand_nonneg,
+    _rand_pair,
+    _rand_signed,
+    _rand_triple,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,6 +106,20 @@ def test_draws_match_entry_by_entry_draws(name):
             x, ref = draw(rng), reference(ref_rng)
             assert type(x) is type(ref) and _ints(x) == _ints(ref), (seed, k)
             assert rng.getstate() == ref_rng.getstate(), (seed, k)
+
+
+def test_rotation_zero_table_is_the_nested_loop_in_order():
+    """The zeros the rotation-zero check built on each call, entry by entry:
+    the order decides which draws meet which zero."""
+    loop = []
+    for xi in (Fraction(1), Fraction(7, 3)):
+        for selector in RowSelector.all():
+            loop.append((selector, xi, rotation_zero(selector, xi)))
+    assert len(_ROTATION_ZEROS) == len(loop) == 54
+    for k, ((selector, xi, zero), (ref_selector, ref_xi, ref_zero)) in enumerate(zip(_ROTATION_ZEROS, loop)):
+        assert selector is ref_selector and str(selector) == str(ref_selector), k
+        assert type(xi) is Fraction and xi == ref_xi, k
+        assert type(zero) is CyclicMatrix and (zero._num, zero._den) == (ref_zero._num, ref_zero._den), k
 
 
 def _ints(x):
@@ -206,3 +229,15 @@ def test_triple_ring_laws_check_closure(monkeypatch):
     result = {r.name: r for r in run_checks(samples=20, seed=1)}["triple-ring-laws"]
     assert result.failures == 20
     assert result.detail.startswith("closure: ")
+
+
+def test_triple_ring_laws_check_sums(monkeypatch):
+    add = CyclicTriple.__add__
+
+    def left_heavy(x, y):  # x + y plus x's component a again: not commutative
+        return add(add(x, y), CyclicTriple._make((*x._num[:2], 0, 0, 0, 0), x._den))
+
+    monkeypatch.setattr(CyclicTriple, "__add__", left_heavy)
+    result = {r.name: r for r in run_checks(samples=20, seed=1)}["triple-ring-laws"]
+    assert result.failures >= 20  # commutativity, associativity and distributivity can each fail
+    assert result.detail.startswith("add commutativity: ")
