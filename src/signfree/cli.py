@@ -10,7 +10,12 @@ Subcommands:
 * ``roots``  -- confirm the eight square roots of 9 and locate the
   square roots of +1 and -1 among the sixteen named units.
 
-``--machine`` switches reports to tab-separated records, one per item.
+``--machine`` switches reports to tab-separated records, one per item,
+each formatted by `_record`.  The ``tables``, ``verify`` and ``roots``
+reports collect their lines and write them with one `write` call, so a
+reader that closes the pipe early meets one failed write, which
+`main_entry` handles.  ``tables`` and ``roots`` compare matrix classes
+by their equality keys (`_key`), with no `==`, each key computed once.
 """
 
 from __future__ import annotations
@@ -83,9 +88,14 @@ def run_repl() -> int:
         _eval_line(line)
 
 
-def _print_record(*fields: object, passed: bool) -> None:
+def _record(*fields: str, passed: bool) -> str:
     """One --machine record: the fields tab-joined, then `pass` or `fail`."""
-    print("\t".join([*map(str, fields), "pass" if passed else "fail"]))
+    return "\t".join([*fields, "pass" if passed else "fail"])
+
+
+def _write(lines: "list[str]") -> None:
+    """A report's lines, each ended by a newline, in one write."""
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _grid_lines(report: units.TableReport) -> list[str]:
@@ -115,72 +125,75 @@ def run_tables(
     machine: bool = False,
     unit_values: "Mapping[UnitName, CyclicMatrix] | None" = None,
 ) -> int:
+    lines: list[str] = []
     total = passed = 0
     for which in TABLE_IDS:
         report = units.verify_unit_table(which, unit_values)
         total += len(report.cells)
         passed += report.n_passed
         if machine:
-            for cell in report.cells:
-                computed = cell.computed_name.label if cell.computed_name else cell.computed.reduce()
-                _print_record(
-                    which, cell.row.label, cell.col.label, cell.expected.label, computed, passed=cell.passed
-                )
+            for row, col, expected, computed, name, good in report.cells:
+                shown = name.label if name else str(computed.reduce())
+                lines.append(_record(which, row.label, col.label, expected.label, shown, passed=good))
         else:
-            for line in _grid_lines(report):
-                print(line)
-            print()
+            lines += _grid_lines(report)
+            lines.append("")
     if not machine:
-        print(f"all tables: {passed}/{total} cells pass")
+        lines.append(f"all tables: {passed}/{total} cells pass")
+    _write(lines)
     return 0 if passed == total else 1
 
 
 def run_verify(samples: int, seed: int, machine: bool = False) -> int:
     results = verify.run_checks(samples=samples, seed=seed)
+    lines = []
     for result in results:
         if machine:
-            _print_record(result.name, result.samples, result.failures, passed=result.passed)
+            lines.append(_record(result.name, str(result.samples), str(result.failures), passed=result.passed))
         elif result.passed:
-            print(f"PASS {result.name} ({result.samples} samples)")
+            lines.append(f"PASS {result.name} ({result.samples} samples)")
         else:
-            print(f"FAIL {result.name} ({result.failures}/{result.samples} failed): {result.detail}")
+            lines.append(f"FAIL {result.name} ({result.failures}/{result.samples} failed): {result.detail}")
     n_passed = sum(result.passed for result in results)
     if not machine:
-        print(f"{n_passed}/{len(results)} checks pass")
+        lines.append(f"{n_passed}/{len(results)} checks pass")
+    _write(lines)
     return 0 if n_passed == len(results) else 1
 
 
 def run_roots(machine: bool = False) -> int:
+    # classes compared by their equality keys, each key computed once
+    nine = NINE._key()
     squares = [candidate * candidate for candidate in ROOTS_OF_NINE]
-    confirmed = [square == NINE for square in squares]
+    confirmed = [square._key() == nine for square in squares]
     ok = all(confirmed)
     if machine:
-        for index, good in enumerate(confirmed):
-            _print_record("roots-of-nine", f"#{index}", passed=good)
+        lines = [_record("roots-of-nine", f"#{index}", passed=good) for index, good in enumerate(confirmed)]
     else:
-        print(f"square roots of 9: {sum(confirmed)}/{len(ROOTS_OF_NINE)} confirmed")
+        lines = [f"square roots of 9: {sum(confirmed)}/{len(ROOTS_OF_NINE)} confirmed"]
         for candidate, square, good in zip(ROOTS_OF_NINE, squares, confirmed):
-            print(f"  {candidate} ^2 -> {square.reduce()}  {'ok' if good else 'FAIL'}")
+            lines.append(f"  {candidate} ^2 -> {square.reduce()}  {'ok' if good else 'FAIL'}")
 
-    unit_squares = {unit: unit_value(unit) * unit_value(unit) for unit in UnitName}
+    square_keys = {unit: (unit_value(unit) * unit_value(unit))._key() for unit in UnitName}
     for family, target_name, tag in (
         (PLUS_FAMILY, UnitName.ONE, "roots-of-plus-one"),
         (IMAGINARY_FAMILY, UnitName.NEG1, "roots-of-minus-one"),
     ):
-        target = unit_value(target_name)
+        target = unit_value(target_name)._key()
         # each root named by its own unit: the sixteen units are pairwise unequal
-        found_names = {unit for unit, square in unit_squares.items() if square == target}
+        found_names = {unit for unit, key in square_keys.items() if key == target}
         family_ok = found_names == set(family)
         ok = ok and family_ok
         if machine:
             for unit in UnitName:
-                _print_record(tag, unit.label, passed=(unit in family) == (unit in found_names))
+                lines.append(_record(tag, unit.label, passed=(unit in family) == (unit in found_names)))
         else:
             labels = " ".join(unit.label for unit in UnitName if unit in found_names)
-            print(
+            lines.append(
                 f"square roots of {target_name.label} among the 16 units: {labels}"
                 f"  ({'ok' if family_ok else 'FAIL: unexpected set'})"
             )
+    _write(lines)
     return 0 if ok else 1
 
 

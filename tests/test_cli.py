@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from signfree import UNIT_VALUES, CyclicMatrix, UnitName, unit_value
+from signfree import UNIT_VALUES, CyclicMatrix, UnitName, unit_value, units
 from signfree.cli import build_parser, main, main_entry, run_roots, run_tables
 from signfree.expressions import eval_text, format_value
 
@@ -219,18 +219,60 @@ def test_roots_machine(capsys):
     assert all(line.endswith("pass") for line in lines)
 
 
-@pytest.mark.parametrize("machine", [False, True], ids=["text", "machine"])
-def test_roots_squares_each_unit_once(monkeypatch, capsys, machine):
-    products = []
-    product = CyclicMatrix._product
+def _count_work(monkeypatch):
+    """Records each matrix product, equality key and `==` in order, as
+    `product`, `unit key` (the key of a unit constant), `key` or `eq`, and
+    each unit table verified, as `table`."""
+    events = []
+    product, key, eq = CyclicMatrix._product, CyclicMatrix._key, CyclicMatrix.__eq__
+    unit_ids = {id(value) for value in UNIT_VALUES.values()}
+    verify_unit_table = units.verify_unit_table
 
-    def counted(x, y):
-        products.append((x, y))
+    def counted_product(x, y):
+        events.append("product")
         return product(x, y)
 
-    monkeypatch.setattr(CyclicMatrix, "_product", staticmethod(counted))
+    def counted_key(self):
+        events.append("unit key" if id(self) in unit_ids else "key")
+        return key(self)
+
+    def counted_eq(self, other):
+        events.append("eq")
+        return eq(self, other)
+
+    def counted_table(*args):
+        events.append("table")
+        return verify_unit_table(*args)
+
+    monkeypatch.setattr(CyclicMatrix, "_product", staticmethod(counted_product))
+    monkeypatch.setattr(CyclicMatrix, "_key", counted_key)
+    monkeypatch.setattr(CyclicMatrix, "__eq__", counted_eq)
+    monkeypatch.setattr(units, "verify_unit_table", counted_table)
+    return events
+
+
+@pytest.mark.parametrize("machine", [False, True], ids=["text", "machine"])
+def test_tables_work_per_table(monkeypatch, capsys, machine):
+    events = _count_work(monkeypatch)
+    assert run_tables(machine=machine) == 0
+    starts = [i for i, event in enumerate(events) if event == "table"]
+    assert starts == [0, 145, 290] and len(events) == 3 * 145
+    for start in starts:
+        work = events[start + 1 : start + 145]
+        # each unit's key once, then each cell's product and its key; no `==`
+        assert work == ["unit key"] * 16 + ["product", "key"] * 64
+
+
+@pytest.mark.parametrize("machine", [False, True], ids=["text", "machine"])
+def test_roots_squares_each_unit_once(monkeypatch, capsys, machine):
+    events = _count_work(monkeypatch)
     assert run_roots(machine=machine) == 0
-    assert len(products) == 8 + 16  # the roots of 9, then each unit once for both families
+    # the roots of 9, then each unit once for both families
+    assert events.count("product") == 8 + 16
+    # classes compared by key, each key computed once: 9, its 8 roots' squares,
+    # the 16 unit squares and the two targets, 1 and -1
+    assert events.count("eq") == 0
+    assert events.count("key") + events.count("unit key") == 1 + 8 + 16 + 2
 
 
 def test_repl_quits_and_evaluates(monkeypatch, capsys):
