@@ -16,12 +16,8 @@ result in lowest terms, and `_key`, its equality key, are generated
 the same way (`straight_line_make`, `straight_line_key`): the ints
 unpacked by name, one gcd, and a divide written out for each int.  So
 is its sum, `__add__` (`straight_line_sum`): the ints added pairwise
-over equal denominators, else cross-multiplied; and its `reduce`
-(`straight_line_reduce`): each run's least part found by comparisons
-written out part by part, then subtracted.  So five functions are
-generated per shape, and ``+``, ``*``, `_make`, `_key` and `reduce` run
-no per-call loop.  The loops these replaced are kept in
-``tests/test_cyclic_core.py`` as the reference.
+over equal denominators, else cross-multiplied.  The loops these
+replaced are kept in ``tests/test_cyclic_core.py`` as the reference.
 
 An element holds its n parts as one flat tuple of ints
 ``(p0, q0, p1, q1, ...)`` over one shared denominator ``d > 0``: part i
@@ -37,9 +33,7 @@ constant vector acts as zero.  Equality needs no ordering to see that:
 x ~ y exactly when, in every run, x[i] - x[first] == y[i] - y[first],
 so equality and hashing compare those differences over ``d`` in lowest
 terms (`_key`).  `reduce()`, which subtracts each run's minimum part,
-gives the printed form: a pair loses the smaller of its two parts, a
-triple the minimum of its three, and each matrix column its own
-minimum, found by exact signs over the common ``d``; it is idempotent.
+gives the printed form.
 
 Nonnegativity is checked once, where values come from outside: every
 constructor and every scale factor passes its entries through
@@ -47,9 +41,9 @@ constructor and every scale factor passes its entries through
 int, Fraction or scalar by its type), tests its sign once and joins the
 entries over one denominator.  Sums, products and reductions of
 nonnegative parts stay nonnegative, so results are built unchecked by
-the class's ``_make``.  ``*``, ``**``, ``==`` and ``hash`` are written
-once, here, and each public class gets its own copy of them (and its own
-generated ``+`` and `reduce()`), so per-class instrumentation
+the class's ``_make``.  ``*``, ``**``, ``==``, ``hash`` and `reduce()` are
+written once, here, and each public class gets its own copy of them (and
+its own generated ``+``), so per-class instrumentation
 (``bench/tracing.py``) can wrap each apart.
 """
 
@@ -198,39 +192,6 @@ def straight_line_key(size: int, pairs: list, name: str) -> "Callable[[CyclicEle
     return _compiled(source, name, "key")
 
 
-def straight_line_reduce(size: int, run: int, name: str) -> "Callable[[CyclicElement], CyclicElement]":
-    """`reduce(self)` for elements of `size` flat ints in runs of `run`, as
-    one generated function compiled under ``<signfree NAME reduce>``.
-
-    For each run R it keeps in ``lpR, lqR`` the ints of its least part so
-    far, starting from its first part.  A later part with the same sqrt3
-    int is less exactly when its rational int is; any other is compared
-    by the exact sign of the difference (`_int_sign`).  Each part less
-    its run's minimum goes to the class's `_make`.
-    """
-    lines = [
-        "def reduce(self):\n",
-        '    """Each run less its least part; idempotent."""\n',
-        f"    {_names('x', size)}= self._num\n",
-    ]
-    out = []
-    for start in range(0, size, run):
-        lp, lq = f"lp{start // run}", f"lq{start // run}"  # this run's least part so far
-        lines.append(f"    {lp} = x{start}\n    {lq} = x{start + 1}\n")
-        for i in range(start + 2, start + run, 2):
-            lines.append(
-                f"    if x{i + 1} == {lq}:\n"
-                f"        if x{i} < {lp}:\n"
-                f"            {lp} = x{i}\n"
-                f"    elif sign(x{i} - {lp}, x{i + 1} - {lq}) < 0:\n"
-                f"        {lp} = x{i}\n"
-                f"        {lq} = x{i + 1}\n"
-            )
-        out += [f"x{i} - {lp}, x{i + 1} - {lq}" for i in range(start, start + run, 2)]
-    lines.append(f"    return self._make(({', '.join(out)}), self._den)\n")
-    return _compiled("".join(lines), name, "reduce")
-
-
 def _names(prefix: str, count: int, suffix: str = "") -> str:
     """`count` numbered names, each with `suffix` and a comma: ``x0, x1, ``
     or, with the suffix `` // g``, ``x0 // g, x1 // g, ``."""
@@ -240,7 +201,7 @@ def _names(prefix: str, count: int, suffix: str = "") -> str:
 def _compiled(source: str, name: str, what: str) -> Callable:
     """The function `what` that `source` defines, compiled under the
     filename ``<signfree NAME WHAT>``."""
-    namespace: dict = {"gcd": math.gcd, "new": object.__new__, "sign": _int_sign}
+    namespace: dict = {"gcd": math.gcd, "new": object.__new__}
     exec(compile(source, f"<signfree {name} {what}>", "exec"), namespace)
     return namespace[what]
 
@@ -294,10 +255,10 @@ class CyclicElement:
 
     Subclasses set `_NOUN`, their plural for error texts, and `_ORDERS`,
     the cyclic factors of their group; the last factor's order is the
-    length of a run.  Each subclass gets its own copy of the operators
-    below, and defines none of them itself; its product, sum, `_make`
-    (nonnegative ints over a denominator, to an element in lowest terms),
-    `_key` and `reduce` are generated for its shape when it is created.
+    length of a run.  Each subclass gets its own copy of the operators and
+    `reduce` below, and defines none of them itself; its product, sum,
+    `_make` (nonnegative ints over a denominator, to an element in lowest
+    terms) and `_key` are generated for its shape when it is created.
     """
 
     __slots__ = ("_num", "_den")
@@ -315,9 +276,8 @@ class CyclicElement:
         # (i, j): flat int i and the same int (p or q) of its run's first part
         key_pairs = [(start + i, start + i % 2) for start in range(0, size, run) for i in range(2, run)]
         cls._key = straight_line_key(size, key_pairs, name)
-        cls.reduce = cls._reduce = straight_line_reduce(size, run, name)
         # bench/tracing.py tells the classes apart by these entries, so each owns a copy
-        for name in ("__mul__", "__pow__", "__eq__", "__hash__"):
+        for name in ("__mul__", "__pow__", "reduce", "__eq__", "__hash__"):
             f = vars(CyclicElement)[name]
             own = types.FunctionType(f.__code__, f.__globals__, name, f.__defaults__, f.__closure__)
             setattr(cls, name, own)
@@ -370,10 +330,28 @@ class CyclicElement:
             raise ValueError(f"negative powers are not defined for {self._NOUN}")
         return power(self, exponent, self.one)
 
+    def reduce(self) -> "CyclicElement":
+        """Each run less its minimum part; idempotent.
+
+        A pair loses the smaller of its two parts, a triple the minimum of
+        its three, and each matrix column its own minimum.  The minima are
+        found by exact signs over the common ``d``.
+        """
+        num, run = self._num, self._RUN
+        out = []
+        for start in range(0, len(num), run):
+            lp, lq = num[start], num[start + 1]
+            for i in range(start + 2, start + run, 2):
+                if _int_sign(num[i] - lp, num[i + 1] - lq) < 0:
+                    lp, lq = num[i], num[i + 1]
+            for i in range(start, start + run, 2):
+                out += (num[i] - lp, num[i + 1] - lq)
+        return self._make(out, self._den)
+
     @property
     def is_reduced(self) -> bool:
-        # the unwrapped alias: a tracer may wrap `reduce`, and counts calls to it
-        return self._reduce()._num == self._num
+        # the core's own function: a tracer may wrap the class's copy, and counts calls to it
+        return CyclicElement.reduce(self)._num == self._num
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):

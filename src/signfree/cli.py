@@ -12,10 +12,9 @@ Subcommands:
 
 ``--machine`` switches reports to tab-separated records, one per item,
 each formatted by `_record`.  The ``tables``, ``verify`` and ``roots``
-reports collect their lines and write them with one `write` call, so a
-reader that closes the pipe early meets one failed write, which
-`main_entry` handles.  ``tables`` and ``roots`` compare matrix classes
-by their equality keys (`_key`), with no `==`, each key computed once.
+reports collect their lines and write them with one `write` call.
+``tables`` and ``roots`` compare matrix classes by their equality keys
+(`_key`), with no `==`, each key computed once.
 """
 
 from __future__ import annotations

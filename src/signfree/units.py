@@ -18,13 +18,12 @@ classes exactly, by their equality keys: each unit's value and key are
 read once per table, each product and its key once per cell, and a
 product is named by looking its key up in a key -> unit map in which
 the first listed unit wins (two units may be equal in a substituted
-set).  Each cell is a `CellCheck` tuple built by its `_make`, with no
-keyword handling.  :func:`match_unit` builds that map from the units it
-is given on every call, so it never reads a stale copy.  The ``roots``
-report (:func:`signfree.cli.run_roots`) compares the squares of the
-roots with their targets by key too, each key computed once.  A unit's
-`label` (its value) is a plain str attribute of the member, and a
-member hashes by identity.
+set).  :func:`match_unit` builds that map from the units it is given on
+every call, so it never reads a stale copy.  The ``roots`` report
+(:func:`signfree.cli.run_roots`) compares the squares of the roots with
+their targets by key too, each key computed once.  A unit's `label` (its
+value) is a plain str attribute of the member, and a member hashes by
+identity.
 """
 
 from __future__ import annotations
@@ -207,13 +206,12 @@ def verify_unit_table(
     keys, names = _unit_keys(values)
     columns = [(col, values[col]) for col in table.col_units]  # each unit's value read once
     cells: list[CellCheck] = []
-    append, cell, name_of = cells.append, CellCheck._make, names.get
     for row, expected_row in zip(table.row_units, table.cells):
         x = values[row]
         for (col, y), expected in zip(columns, expected_row):
             computed = x * y
             key = computed._key()
-            append(cell((row, col, expected, computed, name_of(key), key == keys[expected])))
+            cells.append(CellCheck(row, col, expected, computed, names.get(key), key == keys[expected]))
     return TableReport(which, cells)
 
 

@@ -11,8 +11,8 @@ Further down, the loop `convolve` over an index table is the reference
 for the core's generated straight-line product, the old per-entry
 construction path the reference for its checked construction, and
 comprehensions over the payload ints the reference for a matrix's row
-sums and norm, and the loops the generated `_make`, `_key`, sum and
-`reduce` replaced the reference for those.
+sums and norm, and the loops the generated `_make`, `_key` and sum
+replaced the reference for those.
 """
 
 import cmath
@@ -38,7 +38,7 @@ from signfree import (
     rotation_zero,
 )
 from signfree._cyclic import CyclicElement
-from signfree.scalars import _int_sign, _normalised
+from signfree.scalars import _normalised
 from signfree.triples import _norm_sq_ints
 from signfree.verify import _norm_sign, _same_norm
 
@@ -810,19 +810,12 @@ def test_each_class_owns_a_distinct_copy_of_each_shared_entry():
     # per-class instrumentation wraps cls.__dict__[entry], keyed by the function
     # object: a shared object would count every class's calls under one name
     classes = (UnsignedPair, CyclicTriple, CyclicMatrix)
-    for entry in ("__mul__", "__rmul__", "__pow__", "__eq__", "__hash__"):
+    for entry in ("__mul__", "__rmul__", "__pow__", "reduce", "__eq__", "__hash__"):
         assert all(entry in vars(cls) for cls in classes), entry
         functions = [vars(cls)[entry] for cls in classes]
         assert len({id(f) for f in functions}) == len(classes), entry
         assert all(f.__code__ is vars(CyclicElement)[entry].__code__ for f in functions), entry
     assert all(vars(cls)["__rmul__"] is vars(cls)["__mul__"] for cls in classes)
-    # the generated entries: one function per class, compiled under its shape's name
-    for entry, what in (("__add__", "add"), ("reduce", "reduce")):
-        assert entry not in vars(CyclicElement), entry
-        functions = [vars(cls)[entry] for cls in classes]
-        assert len({id(f) for f in functions}) == len(classes), entry
-        filenames = [f.__code__.co_filename for f in functions]
-        assert filenames == [f"<signfree {shape} {what}>" for shape in ("C2", "C3", "C3xC3")], entry
 
 
 # The comprehensions over a matrix's payload ints that `matrices._row_sum_ints`
@@ -1010,104 +1003,3 @@ def test_generated_sum_refuses_other_operands():
     assert "__add__" not in vars(CyclicElement)
     filenames = [vars(cls)["__add__"].__code__.co_filename for cls in classes]
     assert filenames == ["<signfree C2 add>", "<signfree C3 add>", "<signfree C3xC3 add>"]
-
-
-# The loop `reduce` that the generated straight-line one replaced.
-
-
-def loop_reduce(x):
-    num, run = x._num, x._RUN
-    out = []
-    for start in range(0, len(num), run):
-        lp, lq = num[start], num[start + 1]
-        for i in range(start + 2, start + run, 2):
-            if _int_sign(num[i] - lp, num[i + 1] - lq) < 0:
-                lp, lq = num[i], num[i + 1]
-        for i in range(start, start + run, 2):
-            out += (num[i] - lp, num[i + 1] - lq)
-    return ref_make(type(x), out, x._den)
-
-
-# p/q near sqrt3 (convergents), so that p - q*sqrt3 nearly cancels
-_NEAR_ROOT3 = [(2, 1), (5, 3), (7, 4), (19, 11), (26, 15), (97, 56), (1351, 780), (18817, 10864)]
-
-
-def reduce_payloads(name, rng):
-    """Signed (ints, den) payloads, not in lowest terms, with dens up to 12:
-    ints in -3..3, so that parts of a run often share a sqrt3 int or tie
-    for its minimum; parts that differ by about 0 (p - q*sqrt3 with p/q a
-    convergent of sqrt3); and ints up to 125 bits."""
-    cls, orders = PRODUCT_SHAPES[name]
-    size = 2 * math.prod(orders)
-    cases = []
-    for i in range(2000):
-        den = rng.randint(1, 12)
-        kind = i % 4
-        if kind < 2:
-            num = [rng.randint(-3, 3) for _ in range(size)]
-        elif kind == 2:
-            base = [rng.randint(-50, 50) for _ in range(2)]
-            num = []
-            for _ in range(size // 2):
-                p, q = rng.choice(_NEAR_ROOT3)
-                sign = rng.choice((1, -1))
-                num += (base[0] + sign * p, base[1] - sign * q) if rng.random() < 0.8 else base
-        else:
-            bits = rng.choice((20, 64, 125))
-            num = [rng.getrandbits(bits) - rng.getrandbits(bits) for _ in range(size)]
-        cases.append((num, den))
-    return cases
-
-
-def reduce_steps(num, run):
-    """For each comparison the loop makes: (sqrt3 ints equal, part less, part equal)."""
-    steps = set()
-    for start in range(0, len(num), run):
-        lp, lq = num[start], num[start + 1]
-        for i in range(start + 2, start + run, 2):
-            less = _int_sign(num[i] - lp, num[i + 1] - lq) < 0
-            steps.add((num[i + 1] == lq, less, (num[i], num[i + 1]) == (lp, lq)))
-            if less:
-                lp, lq = num[i], num[i + 1]
-    return steps
-
-
-@pytest.mark.parametrize("name", PRODUCT_SHAPES)
-def test_generated_reduce_matches_loop(name, monkeypatch):
-    cls = PRODUCT_SHAPES[name][0]
-    rng = random.Random(f"reduce:{name}")
-    elements = []
-    for i, (num, den) in enumerate(reduce_payloads(name, rng)):
-        if i % 2:  # ints and den as drawn, with any common factor kept
-            x = object.__new__(cls)
-            x._num, x._den = tuple(num), den
-            elements.append(x)
-        else:
-            elements.append(cls._make(num, den))
-    elements += [cls.zero(), cls.one(), cls.from_signed(-1), cls.from_signed(ExactScalar(-2, 1))]
-    if name == "matrix":
-        elements += UNIT_VALUES.values()
-        elements += [u * v for u in UNIT_VALUES.values() for v in UNIT_VALUES.values()]
-    # is_reduced calls the class's generated reduce through an alias that no tracer wraps
-    assert vars(cls)["_reduce"] is vars(cls)["reduce"]
-    monkeypatch.setattr(cls, "reduce", None)
-    steps, verdicts = set(), {True: 0, False: 0}
-    for i, x in enumerate(elements):
-        ref = loop_reduce(x)
-        got = x._reduce()
-        assert type(got) is cls and type(got._num) is tuple, (name, i)
-        assert (got._num, got._den) == (ref._num, ref._den), (name, i)
-        again = got._reduce()
-        assert (again._num, again._den) == (got._num, got._den), (name, i)
-        assert x.is_reduced == (ref._num == x._num) and got.is_reduced, (name, i)
-        steps |= reduce_steps(x._num, cls._RUN)
-        verdicts[x.is_reduced] += 1
-    # each path of the generated comparison, taken and not, and ties for the minimum
-    assert steps == {
-        (True, True, False),
-        (True, False, False),
-        (True, False, True),
-        (False, True, False),
-        (False, False, False),
-    }, (name, steps)
-    assert verdicts[True] > 10 and verdicts[False] > 1000, (name, verdicts)
