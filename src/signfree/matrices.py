@@ -96,7 +96,8 @@ def _row_sum_ints(num: tuple) -> "tuple[int, ...]":
 
 def _norm_ints(m: "CyclicMatrix") -> "tuple[int, int, int]":
     """``m.norm_sq()``, the norm of its row sums, as ``(p, q, d)`` ints before the gcd, with ``d > 0``."""
-    return _norm_sq_ints(*_row_sum_ints(m._num), m._den)
+    a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5, c0, c1, c2, c3, c4, c5 = m._num  # one pass: no row-sum tuple
+    return _norm_sq_ints(a0 + b0 + c0, a1 + b1 + c1, a2 + b2 + c2, a3 + b3 + c3, a4 + b4 + c4, a5 + b5 + c5, m._den)
 
 
 def _column_payload(value: object, which: str) -> "tuple[tuple, int]":

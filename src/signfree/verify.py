@@ -2,9 +2,10 @@
 
 Each check draws deterministic random samples (the generator is seeded
 from the run seed plus the check name, so reports are reproducible) and
-records into its own `CheckResult`: `expect` counts each failed law and
-keeps the description of the first.  Algebraic laws are asserted with
-exact arithmetic.
+records into its own `CheckResult`: each law reads ``if not (ok):
+rec.fail(detail)``, and `fail` counts each failed law and keeps the
+detail of the first, so a passing law builds no detail and no closure.
+Algebraic laws are asserted with exact arithmetic.
 Pair, triple and matrix samples are drawn straight into payload ints by
 the draws of entry-by-entry `_rand_nonneg` calls, so no `Fraction` is
 built and no `checked_payload` runs: the entries are nonnegative by construction.
@@ -132,12 +133,11 @@ class CheckResult:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def expect(self, ok: bool, describe: Callable[[], str]) -> None:
-        """Counts a failure unless `ok`, keeping the first description."""
-        if not ok:
-            self.failures += 1
-            if not self.detail:
-                self.detail = describe()
+    def fail(self, detail: str) -> None:
+        """Counts a failed law, keeping the first detail."""
+        self.failures += 1
+        if not self.detail:
+            self.detail = detail
 
 
 def _ring_laws(draw: Callable[[random.Random], object], reducible: bool = False) -> _Check:
@@ -148,17 +148,25 @@ def _ring_laws(draw: Callable[[random.Random], object], reducible: bool = False)
         for _ in range(n):
             x, y, z = (draw(rng) for _ in range(3))
             xy, x_plus_y, y_plus_z = x * y, x + y, y + z
-            rec.expect(x_plus_y == y + x, lambda: f"add commutativity: {x}, {y}")
-            rec.expect(x_plus_y + z == x + y_plus_z, lambda: f"add associativity: {x}, {y}, {z}")
-            rec.expect(xy == y * x, lambda: f"mul commutativity: {x}, {y}")
-            rec.expect(xy * z == x * (y * z), lambda: f"mul associativity: {x}, {y}, {z}")
-            rec.expect(x * y_plus_z == xy + x * z, lambda: f"distributivity: {x}, {y}, {z}")
+            if not (x_plus_y == y + x):
+                rec.fail(f"add commutativity: {x}, {y}")
+            if not (x_plus_y + z == x + y_plus_z):
+                rec.fail(f"add associativity: {x}, {y}, {z}")
+            if not (xy == y * x):
+                rec.fail(f"mul commutativity: {x}, {y}")
+            if not (xy * z == x * (y * z)):
+                rec.fail(f"mul associativity: {x}, {y}, {z}")
+            if not (x * y_plus_z == xy + x * z):
+                rec.fail(f"distributivity: {x}, {y}, {z}")
             if not reducible:
                 continue
             reduced = x.reduce()
-            rec.expect(reduced.reduce().components == reduced.components, lambda: f"reduce idempotence: {x}")
-            rec.expect(reduced.is_reduced and x == reduced, lambda: f"reduce equivalence: {x}")
-            rec.expect(all(part.sign() >= 0 for part in xy.components), lambda: f"closure: {x} * {y}")
+            if not (reduced.reduce().components == reduced.components):
+                rec.fail(f"reduce idempotence: {x}")
+            if not (reduced.is_reduced and x == reduced):
+                rec.fail(f"reduce equivalence: {x}")
+            if not all(part.sign() >= 0 for part in xy.components):
+                rec.fail(f"closure: {x} * {y}")
 
     return check
 
@@ -173,10 +181,8 @@ def _homomorphism(
         for _ in range(n):
             x, y = draw(rng), draw(rng)
             for op, law in ((mul, "mul"), (add, "add")):
-                rec.expect(
-                    same(image(op(x, y)), op(image(x), image(y))),
-                    lambda: f"{label}{law} homomorphism: {x}, {y}",
-                )
+                if not same(image(op(x, y)), op(image(x), image(y))):
+                    rec.fail(f"{label}{law} homomorphism: {x}, {y}")
 
     return check
 
@@ -192,21 +198,23 @@ def _same_components(x: CyclicTriple, y: CyclicTriple) -> bool:
 def _check_scalar_sign_and_reciprocal(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         x = _rand_scalar(rng)
-        rec.expect((x * x).sign() >= 0, lambda: f"square sign: {x}")
+        if not ((x * x).sign() >= 0):
+            rec.fail(f"square sign: {x}")
         approx = float(x)
-        if abs(approx) > TOLERANCE:
-            float_sign = (approx > 0) - (approx < 0)
-            rec.expect(x.sign() == float_sign, lambda: f"sign vs float: {x}")
-        if x.sign() != 0:
-            rec.expect(x * (1 / x) == 1, lambda: f"reciprocal: {x}")
+        if abs(approx) > TOLERANCE and not (x.sign() == (approx > 0) - (approx < 0)):
+            rec.fail(f"sign vs float: {x}")
+        if x.sign() != 0 and not (x * (1 / x) == 1):
+            rec.fail(f"reciprocal: {x}")
 
 
 def _check_pair_roundtrip(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         value = ExactScalar(_rand_signed(rng))
         pair = UnsignedPair.from_signed(value)
-        rec.expect(pair.is_reduced, lambda: f"from_signed reduced: {value}")
-        rec.expect(pair.to_signed() == value, lambda: f"roundtrip: {value}")
+        if not pair.is_reduced:
+            rec.fail(f"from_signed reduced: {value}")
+        if not (pair.to_signed() == value):
+            rec.fail(f"roundtrip: {value}")
 
 
 def _check_triple_well_defined(n: int, rng: random.Random, rec: CheckResult) -> None:
@@ -214,61 +222,56 @@ def _check_triple_well_defined(n: int, rng: random.Random, rec: CheckResult) -> 
         x, y = _rand_triple(rng), _rand_triple(rng)
         shift = _rand_nonneg(rng)
         zero = CyclicTriple(shift, shift, shift)
-        rec.expect(x + zero == x, lambda: f"constant triples are zeros: {x}, {zero}")
-        rec.expect((x + zero) * y == x * y, lambda: f"well-definedness: {x}, {zero}, {y}")
+        if not (x + zero == x):
+            rec.fail(f"constant triples are zeros: {x}, {zero}")
+        if not ((x + zero) * y == x * y):
+            rec.fail(f"well-definedness: {x}, {zero}, {y}")
 
 
 def _check_triple_norms(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         x, y = _rand_triple(rng), _rand_triple(rng)
-        rec.expect(
-            (x * y).norm_sq() == x.norm_sq() * y.norm_sq(),
-            lambda: f"norm multiplicativity: {x}, {y}",
-        )
-        rec.expect(
-            abs(float(x.norm_sq()) - abs(x.to_complex()) ** 2) <= TOLERANCE,
-            lambda: f"norm vs complex modulus: {x}",
-        )
-        rec.expect(
-            (x + y).norm() <= x.norm() + y.norm() + TOLERANCE,
-            lambda: f"triangle inequality: {x}, {y}",
-        )
-        rec.expect(x.norm_sq().sign() >= 0, lambda: f"norm nonnegative: {x}")
+        if not ((x * y).norm_sq() == x.norm_sq() * y.norm_sq()):
+            rec.fail(f"norm multiplicativity: {x}, {y}")
+        if not (abs(float(x.norm_sq()) - abs(x.to_complex()) ** 2) <= TOLERANCE):
+            rec.fail(f"norm vs complex modulus: {x}")
+        if not ((x + y).norm() <= x.norm() + y.norm() + TOLERANCE):
+            rec.fail(f"triangle inequality: {x}, {y}")
+        if not (x.norm_sq().sign() >= 0):
+            rec.fail(f"norm nonnegative: {x}")
 
 
 def _check_triple_complex_roundtrip(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         z = complex(rng.uniform(-100, 100), rng.uniform(-100, 100))
         rebuilt = CyclicTriple.from_complex(z)
-        rec.expect(rebuilt.is_reduced, lambda: f"from_complex reduced: {z}")
-        rec.expect(
-            abs(rebuilt.to_complex() - z) <= TOLERANCE,
-            lambda: f"complex roundtrip: {z}",
-        )
+        if not rebuilt.is_reduced:
+            rec.fail(f"from_complex reduced: {z}")
+        if not (abs(rebuilt.to_complex() - z) <= TOLERANCE):
+            rec.fail(f"complex roundtrip: {z}")
         x = _rand_triple(rng)
         again = CyclicTriple.from_complex(x.to_complex())
-        rec.expect(
-            abs(again.to_complex() - x.to_complex()) <= TOLERANCE,
-            lambda: f"triple roundtrip: {x}",
-        )
+        if not (abs(again.to_complex() - x.to_complex()) <= TOLERANCE):
+            rec.fail(f"triple roundtrip: {x}")
 
 
 def _check_matrix_well_defined(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         x, y = _rand_matrix(rng), _rand_matrix(rng)
         zero = absolute_zero(_rand_nonneg(rng), _rand_nonneg(rng), _rand_nonneg(rng))
-        rec.expect(x + zero == x, lambda: f"absolute zeros are zeros: {x}")
-        rec.expect((x + zero) * y == x * y, lambda: f"well-definedness: {x}, {y}")
-        rec.expect(zero == CyclicMatrix.zero(), lambda: f"zero class: {zero}")
+        if not (x + zero == x):
+            rec.fail(f"absolute zeros are zeros: {x}")
+        if not ((x + zero) * y == x * y):
+            rec.fail(f"well-definedness: {x}, {y}")
+        if not (zero == CyclicMatrix.zero()):
+            rec.fail(f"zero class: {zero}")
 
 
 def _check_matrix_norms(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         x, y = _rand_matrix(rng), _rand_matrix(rng)
-        rec.expect(
-            (x * y).norm_sq() == x.norm_sq() * y.norm_sq(),
-            lambda: f"norm multiplicativity: {x}, {y}",
-        )
+        if not ((x * y).norm_sq() == x.norm_sq() * y.norm_sq()):
+            rec.fail(f"norm multiplicativity: {x}, {y}")
 
 
 def _norm_sign(m: CyclicMatrix) -> int:
@@ -296,20 +299,14 @@ _ROTATION_ZEROS = tuple(
 
 def _check_rotation_zeros(n: int, rng: random.Random, rec: CheckResult) -> None:
     for selector, xi, zero in _ROTATION_ZEROS:
-        rec.expect(
-            _norm_sign(zero) == 0,
-            lambda: f"rotation zero norm: {selector} xi={xi}",
-        )
+        if not (_norm_sign(zero) == 0):
+            rec.fail(f"rotation zero norm: {selector} xi={xi}")
         for _ in range(n):
             m = _rand_digit_matrix(rng)
-            rec.expect(
-                _norm_sign(m * zero) == 0,
-                lambda: f"product absorbs to norm zero: {m}, {selector}",
-            )
-            rec.expect(
-                _same_norm(m + zero, m),
-                lambda: f"addition preserves norm: {m}, {selector}",
-            )
+            if not (_norm_sign(m * zero) == 0):
+                rec.fail(f"product absorbs to norm zero: {m}, {selector}")
+            if not _same_norm(m + zero, m):
+                rec.fail(f"addition preserves norm: {m}, {selector}")
 
 
 def _character_pattern(matrix: CyclicMatrix) -> "tuple[complex, ...] | None":
@@ -327,10 +324,8 @@ def _character_pattern(matrix: CyclicMatrix) -> "tuple[complex, ...] | None":
 def _check_character_oracle(n: int, rng: random.Random, rec: CheckResult) -> None:
     for label, family, signs in (("plus", PLUS_FAMILY, (1, -1)), ("imaginary", IMAGINARY_FAMILY, (1j, -1j))):
         patterns = {_character_pattern(UNIT_VALUES[u]) for u in family}
-        rec.expect(
-            patterns == set(_iter_product(signs, repeat=3)),
-            lambda: f"{label}-family patterns: {sorted(map(str, patterns))}",
-        )
+        if not (patterns == set(_iter_product(signs, repeat=3))):
+            rec.fail(f"{label}-family patterns: {sorted(map(str, patterns))}")
     for _ in range(n):
         x = _rand_matrix(rng)
         variant = rng.randrange(4)
@@ -342,10 +337,8 @@ def _check_character_oracle(n: int, rng: random.Random, rec: CheckResult) -> Non
             y = x.reduce()
         else:
             y = x + rotation_zero(rng.choice(RowSelector.all()), Fraction(rng.randint(1, 9)))
-        rec.expect(
-            (x == y) == characters_close(x, y),
-            lambda: f"character equality agreement: {x}, {y}",
-        )
+        if not ((x == y) == characters_close(x, y)):
+            rec.fail(f"character equality agreement: {x}, {y}")
 
 
 # name -> (check, divisor: the check runs max(1, samples // divisor) samples)

@@ -11,8 +11,10 @@ Further down, the loop `convolve` over an index table is the reference
 for the core's generated straight-line product, the old per-entry
 construction path the reference for its checked construction, and
 comprehensions over the payload ints the reference for a matrix's row
-sums and norm, and the loops the generated `_make`, `_key` and sum
-replaced the reference for those.
+sums, a sum of products in Q(sqrt3) over Fraction pairs the reference
+for a matrix's norm, and the loops the generated `_make`, `_key` and sum
+replaced the reference for those; `_normalised` must give the same
+value in lowest terms.
 """
 
 import cmath
@@ -38,8 +40,8 @@ from signfree import (
     rotation_zero,
 )
 from signfree._cyclic import CyclicElement
+from signfree.matrices import _norm_ints
 from signfree.scalars import _normalised
-from signfree.triples import _norm_sq_ints
 from signfree.verify import _norm_sign, _same_norm
 
 from unit_reference import UNIT_DEFS
@@ -818,8 +820,10 @@ def test_each_class_owns_a_distinct_copy_of_each_shared_entry():
     assert all(vars(cls)["__rmul__"] is vars(cls)["__mul__"] for cls in classes)
 
 
-# The comprehensions over a matrix's payload ints that `matrices._row_sum_ints`
-# replaced in `row_sums` and `norm_sq`.
+# The comprehension over a matrix's payload ints that `matrices._row_sum_ints`
+# replaced in `row_sums`, and a norm that shares no code with the core's: each
+# row sum of the printed rows as a (rational, sqrt3) pair of Fractions, and
+# a^2 + b^2 + c^2 - ab - bc - ca of them multiplied out in Q(sqrt3).
 
 
 def ref_row_sums(m):
@@ -827,9 +831,21 @@ def ref_row_sums(m):
     return CyclicTriple._make([num[k] + num[k + 6] + num[k + 12] for k in range(6)], m._den)
 
 
+def q3_mul(x, y):
+    """(x0 + x1*sqrt3) * (y0 + y1*sqrt3) as a (rational, sqrt3) pair."""
+    return x[0] * y[0] + 3 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def ref_matrix_norm(m):
+    """m's norm as a (rational, sqrt3) pair of Fractions."""
+    a, b, c = ((sum(e.rat for e in row), sum(e.root for e in row)) for row in m.rows())
+    plus = [q3_mul(a, a), q3_mul(b, b), q3_mul(c, c)]
+    minus = [q3_mul(a, b), q3_mul(b, c), q3_mul(c, a)]
+    return tuple(Fraction(sum(t[k] for t in plus) - sum(t[k] for t in minus)) for k in (0, 1))
+
+
 def ref_matrix_norm_sq(m):
-    num = m._num
-    return _normalised(*_norm_sq_ints(*[num[k] + num[k + 6] + num[k + 12] for k in range(6)], m._den))
+    return ExactScalar(*ref_matrix_norm(m))
 
 
 def row_sum_entry(rng, size):
@@ -864,6 +880,29 @@ def test_row_sums_and_norm_match_comprehensions():
     # norms 4 + 2*sqrt3 and 4: equal rational parts only
     root, two = (CyclicMatrix.from_rows([[x, 0, 0], [0, 0, 0], [0, 0, 0]]) for x in (ExactScalar(1, 1), 2))
     assert not _same_norm(root, two) and not _same_norm(two, root)
+
+
+def test_matrix_norm_matches_independent_reference():
+    rng = random.Random("matrix norm")
+    seeded = [
+        CyclicMatrix.from_rows([[row_sum_entry(rng, (9, 2**110, _HUGE)[i % 3]) for _ in range(3)] for _ in range(3)])
+        for i in range(300)
+    ]
+    entries = [e for m in seeded for row in m.rows() for e in row]
+    # sqrt3 ints of both signs, entries over unequal denominators, ints past 2**100
+    assert min(e.root for e in entries) < 0 < max(e.root for e in entries)
+    assert sum(len({e.rat.denominator for row in m.rows() for e in row}) > 1 for m in seeded) > 200
+    assert max(abs(n) for m in seeded for n in m._num).bit_length() > 100
+    zeros = [rotation_zero(s, xi) for xi in (Fraction(1), Fraction(7, 3)) for s in RowSelector.all()]
+    matrices = seeded + list(UNIT_VALUES.values()) + zeros
+    assert len(matrices) == 300 + 16 + 54
+    for i, m in enumerate(matrices):
+        rat, root = ref_matrix_norm(m)
+        p, q, d = _norm_ints(m)  # not in lowest terms: compared as values
+        assert d > 0 and p * rat.denominator == rat.numerator * d and q * root.denominator == root.numerator * d, i
+        norm = m.norm_sq()
+        assert (norm.rat, norm.root) == (rat, root), i
+    assert all(ref_matrix_norm(m) == (0, 0) for m in zeros)
 
 
 # The loop `_make` and `_key` that the generated straight-line ones replaced.
@@ -914,6 +953,22 @@ def make_key_cases(rng, orders):
             num = [h * (bases[k // run * 2 + k % 2] + f * n) for k, n in enumerate(num)]
             den = h * f * rng.randint(1, 2)
         cases.append((num, den))
+    return cases + gcd_order_cases(rng, size)
+
+
+def gcd_order_cases(rng, size):
+    """(ints, den) payloads where the order of its arguments decides how soon
+    `math.gcd` stops: ints with a common factor over d = 1, leading zero
+    ints, every int a multiple of 6 over d = 12, and ints past 2**64."""
+    cases = []
+    for _ in range(40):
+        f = rng.randint(2, 12)
+        cases.append(([f * rng.randint(0, 99) for _ in range(size)], 1))
+        lead = rng.randint(1, size - 1)
+        cases.append(([0] * lead + [f * rng.randint(0, 99) for _ in range(size - lead)], f * rng.randint(1, 3)))
+        cases.append(([6 * rng.randint(0, 99) for _ in range(size)], 12))
+        big = [rng.getrandbits(80) | 2**64 for _ in range(size)]
+        cases += [(big, rng.randint(1, 12)), ([f * n for n in big], f * rng.randint(1, 12))]
     return cases
 
 
@@ -931,6 +986,21 @@ def test_generated_make_and_key_match_loops(name):
         branches.add((ref._den != den, key[1] != got._den))
     # each of gcd 1 and gcd > 1, in make and in key, together
     assert branches == {(False, False), (False, True), (True, False), (True, True)}, name
+
+
+def test_normalised_divides_out_the_gcd():
+    rng = random.Random("normalised")
+    cases = gcd_order_cases(rng, 2)
+    cases += [([rng.randint(0, 99), rng.randint(0, 99)], rng.randint(1, 12)) for _ in range(200)]
+    divided = 0
+    for i, ((p, q), d) in enumerate(cases):
+        p, q = rng.choice((1, -1)) * p, rng.choice((1, -1)) * q
+        got = _normalised(p, q, d)
+        # the same value in lowest terms, which is unique
+        assert type(got) is ExactScalar and got._d > 0 and math.gcd(got._p, got._q, got._d) == 1, i
+        assert got._p * d == p * got._d and got._q * d == q * got._d, i
+        divided += got._d != d
+    assert 0 < divided < len(cases)
 
 
 # The loop `__add__` that the generated straight-line sum replaced.

@@ -18,6 +18,7 @@ from signfree import (
 from signfree.matrices import RowSelector, rotation_zero
 from signfree.verify import (
     _ROTATION_ZEROS,
+    CheckResult,
     _rand_digit_matrix,
     _rand_matrix,
     _rand_nonneg,
@@ -53,6 +54,24 @@ def test_sample_scaling():
         assert results["pair-ring-laws"].samples == base
         assert results["matrix-ring-laws"].samples == matrix
         assert results["rotation-zeros"].samples == per_zero
+
+
+def test_fail_counts_every_call_and_keeps_the_first_detail():
+    rec = CheckResult("law", 3)
+    assert rec.passed and rec.detail == ""
+    for detail in ("first", "second", "third"):
+        rec.fail(detail)
+    assert rec == CheckResult("law", 3, failures=3, detail="first") and not rec.passed
+
+
+def test_passing_laws_format_no_detail(monkeypatch):
+    """A passing law builds no detail: no sample is printed on a passing run."""
+    printed = []
+    for cls in (ExactScalar, UnsignedPair, CyclicTriple, CyclicMatrix):
+        text = cls.__str__
+        monkeypatch.setattr(cls, "__str__", lambda self, text=text: printed.append(self) or text(self))
+    assert all(r.passed for r in run_checks(samples=20, seed=7))
+    assert printed == []
 
 
 def test_rejects_nonpositive_samples():
