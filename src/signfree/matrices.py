@@ -89,14 +89,14 @@ _SELECTORS = tuple(RowSelector(*choice) for choice in _iter_product(_COLUMNS, re
 
 
 def _row_sum_ints(num: tuple) -> "tuple[int, ...]":
-    """The six ints of the row sums of a matrix's 18 payload ints."""
+    """The six ints of the row sums of a matrix's 18 payload ints; `_norm_ints` sums the same columns."""
     a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5, c0, c1, c2, c3, c4, c5 = num  # columns A, B, C
     return a0 + b0 + c0, a1 + b1 + c1, a2 + b2 + c2, a3 + b3 + c3, a4 + b4 + c4, a5 + b5 + c5
 
 
 def _norm_ints(m: "CyclicMatrix") -> "tuple[int, int, int]":
     """``m.norm_sq()``, the norm of its row sums, as ``(p, q, d)`` ints before the gcd, with ``d > 0``."""
-    a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5, c0, c1, c2, c3, c4, c5 = m._num  # one pass: no row-sum tuple
+    a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5, c0, c1, c2, c3, c4, c5 = m._num  # columns A, B, C
     return _norm_sq_ints(a0 + b0 + c0, a1 + b1 + c1, a2 + b2 + c2, a3 + b3 + c3, a4 + b4 + c4, a5 + b5 + c5, m._den)
 
 

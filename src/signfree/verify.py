@@ -3,8 +3,9 @@
 Each check draws deterministic random samples (the generator is seeded
 from the run seed plus the check name, so reports are reproducible) and
 records into its own `CheckResult`: each law reads ``if not (ok):
-rec.fail(detail)``, and `fail` counts each failed law and keeps the
-detail of the first, so a passing law builds no detail and no closure.
+rec.fail(fmt, *operands)``, and `fail` counts each failed law and formats
+the detail of the first only, so a passing law builds no detail and no
+closure, and a later failure formats nothing.
 Algebraic laws are asserted with exact arithmetic.
 Pair, triple and matrix samples are drawn straight into payload ints by
 the draws of entry-by-entry `_rand_nonneg` calls, so no `Fraction` is
@@ -133,11 +134,12 @@ class CheckResult:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def fail(self, detail: str) -> None:
-        """Counts a failed law, keeping the first detail."""
+    def fail(self, fmt: str, *args: object) -> None:
+        """Counts a failed law; formats `fmt` with `args` into the detail only
+        for the first, so a later failure formats nothing."""
         self.failures += 1
         if not self.detail:
-            self.detail = detail
+            self.detail = fmt.format(*args)
 
 
 def _ring_laws(draw: Callable[[random.Random], object], reducible: bool = False) -> _Check:
@@ -149,24 +151,24 @@ def _ring_laws(draw: Callable[[random.Random], object], reducible: bool = False)
             x, y, z = (draw(rng) for _ in range(3))
             xy, x_plus_y, y_plus_z = x * y, x + y, y + z
             if not (x_plus_y == y + x):
-                rec.fail(f"add commutativity: {x}, {y}")
+                rec.fail("add commutativity: {}, {}", x, y)
             if not (x_plus_y + z == x + y_plus_z):
-                rec.fail(f"add associativity: {x}, {y}, {z}")
+                rec.fail("add associativity: {}, {}, {}", x, y, z)
             if not (xy == y * x):
-                rec.fail(f"mul commutativity: {x}, {y}")
+                rec.fail("mul commutativity: {}, {}", x, y)
             if not (xy * z == x * (y * z)):
-                rec.fail(f"mul associativity: {x}, {y}, {z}")
+                rec.fail("mul associativity: {}, {}, {}", x, y, z)
             if not (x * y_plus_z == xy + x * z):
-                rec.fail(f"distributivity: {x}, {y}, {z}")
+                rec.fail("distributivity: {}, {}, {}", x, y, z)
             if not reducible:
                 continue
             reduced = x.reduce()
             if not (reduced.reduce().components == reduced.components):
-                rec.fail(f"reduce idempotence: {x}")
+                rec.fail("reduce idempotence: {}", x)
             if not (reduced.is_reduced and x == reduced):
-                rec.fail(f"reduce equivalence: {x}")
+                rec.fail("reduce equivalence: {}", x)
             if not all(part.sign() >= 0 for part in xy.components):
-                rec.fail(f"closure: {x} * {y}")
+                rec.fail("closure: {} * {}", x, y)
 
     return check
 
@@ -182,7 +184,7 @@ def _homomorphism(
             x, y = draw(rng), draw(rng)
             for op, law in ((mul, "mul"), (add, "add")):
                 if not same(image(op(x, y)), op(image(x), image(y))):
-                    rec.fail(f"{label}{law} homomorphism: {x}, {y}")
+                    rec.fail("{}{} homomorphism: {}, {}", label, law, x, y)
 
     return check
 
@@ -199,12 +201,12 @@ def _check_scalar_sign_and_reciprocal(n: int, rng: random.Random, rec: CheckResu
     for _ in range(n):
         x = _rand_scalar(rng)
         if not ((x * x).sign() >= 0):
-            rec.fail(f"square sign: {x}")
+            rec.fail("square sign: {}", x)
         approx = float(x)
         if abs(approx) > TOLERANCE and not (x.sign() == (approx > 0) - (approx < 0)):
-            rec.fail(f"sign vs float: {x}")
+            rec.fail("sign vs float: {}", x)
         if x.sign() != 0 and not (x * (1 / x) == 1):
-            rec.fail(f"reciprocal: {x}")
+            rec.fail("reciprocal: {}", x)
 
 
 def _check_pair_roundtrip(n: int, rng: random.Random, rec: CheckResult) -> None:
@@ -212,9 +214,9 @@ def _check_pair_roundtrip(n: int, rng: random.Random, rec: CheckResult) -> None:
         value = ExactScalar(_rand_signed(rng))
         pair = UnsignedPair.from_signed(value)
         if not pair.is_reduced:
-            rec.fail(f"from_signed reduced: {value}")
+            rec.fail("from_signed reduced: {}", value)
         if not (pair.to_signed() == value):
-            rec.fail(f"roundtrip: {value}")
+            rec.fail("roundtrip: {}", value)
 
 
 def _check_triple_well_defined(n: int, rng: random.Random, rec: CheckResult) -> None:
@@ -223,22 +225,22 @@ def _check_triple_well_defined(n: int, rng: random.Random, rec: CheckResult) -> 
         shift = _rand_nonneg(rng)
         zero = CyclicTriple(shift, shift, shift)
         if not (x + zero == x):
-            rec.fail(f"constant triples are zeros: {x}, {zero}")
+            rec.fail("constant triples are zeros: {}, {}", x, zero)
         if not ((x + zero) * y == x * y):
-            rec.fail(f"well-definedness: {x}, {zero}, {y}")
+            rec.fail("well-definedness: {}, {}, {}", x, zero, y)
 
 
 def _check_triple_norms(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         x, y = _rand_triple(rng), _rand_triple(rng)
         if not ((x * y).norm_sq() == x.norm_sq() * y.norm_sq()):
-            rec.fail(f"norm multiplicativity: {x}, {y}")
+            rec.fail("norm multiplicativity: {}, {}", x, y)
         if not (abs(float(x.norm_sq()) - abs(x.to_complex()) ** 2) <= TOLERANCE):
-            rec.fail(f"norm vs complex modulus: {x}")
+            rec.fail("norm vs complex modulus: {}", x)
         if not ((x + y).norm() <= x.norm() + y.norm() + TOLERANCE):
-            rec.fail(f"triangle inequality: {x}, {y}")
+            rec.fail("triangle inequality: {}, {}", x, y)
         if not (x.norm_sq().sign() >= 0):
-            rec.fail(f"norm nonnegative: {x}")
+            rec.fail("norm nonnegative: {}", x)
 
 
 def _check_triple_complex_roundtrip(n: int, rng: random.Random, rec: CheckResult) -> None:
@@ -246,13 +248,13 @@ def _check_triple_complex_roundtrip(n: int, rng: random.Random, rec: CheckResult
         z = complex(rng.uniform(-100, 100), rng.uniform(-100, 100))
         rebuilt = CyclicTriple.from_complex(z)
         if not rebuilt.is_reduced:
-            rec.fail(f"from_complex reduced: {z}")
+            rec.fail("from_complex reduced: {}", z)
         if not (abs(rebuilt.to_complex() - z) <= TOLERANCE):
-            rec.fail(f"complex roundtrip: {z}")
+            rec.fail("complex roundtrip: {}", z)
         x = _rand_triple(rng)
         again = CyclicTriple.from_complex(x.to_complex())
         if not (abs(again.to_complex() - x.to_complex()) <= TOLERANCE):
-            rec.fail(f"triple roundtrip: {x}")
+            rec.fail("triple roundtrip: {}", x)
 
 
 def _check_matrix_well_defined(n: int, rng: random.Random, rec: CheckResult) -> None:
@@ -260,18 +262,18 @@ def _check_matrix_well_defined(n: int, rng: random.Random, rec: CheckResult) -> 
         x, y = _rand_matrix(rng), _rand_matrix(rng)
         zero = absolute_zero(_rand_nonneg(rng), _rand_nonneg(rng), _rand_nonneg(rng))
         if not (x + zero == x):
-            rec.fail(f"absolute zeros are zeros: {x}")
+            rec.fail("absolute zeros are zeros: {}", x)
         if not ((x + zero) * y == x * y):
-            rec.fail(f"well-definedness: {x}, {y}")
+            rec.fail("well-definedness: {}, {}", x, y)
         if not (zero == CyclicMatrix.zero()):
-            rec.fail(f"zero class: {zero}")
+            rec.fail("zero class: {}", zero)
 
 
 def _check_matrix_norms(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         x, y = _rand_matrix(rng), _rand_matrix(rng)
         if not ((x * y).norm_sq() == x.norm_sq() * y.norm_sq()):
-            rec.fail(f"norm multiplicativity: {x}, {y}")
+            rec.fail("norm multiplicativity: {}, {}", x, y)
 
 
 def _norm_sign(m: CyclicMatrix) -> int:
@@ -300,13 +302,13 @@ _ROTATION_ZEROS = tuple(
 def _check_rotation_zeros(n: int, rng: random.Random, rec: CheckResult) -> None:
     for selector, xi, zero in _ROTATION_ZEROS:
         if not (_norm_sign(zero) == 0):
-            rec.fail(f"rotation zero norm: {selector} xi={xi}")
+            rec.fail("rotation zero norm: {} xi={}", selector, xi)
         for _ in range(n):
             m = _rand_digit_matrix(rng)
             if not (_norm_sign(m * zero) == 0):
-                rec.fail(f"product absorbs to norm zero: {m}, {selector}")
+                rec.fail("product absorbs to norm zero: {}, {}", m, selector)
             if not _same_norm(m + zero, m):
-                rec.fail(f"addition preserves norm: {m}, {selector}")
+                rec.fail("addition preserves norm: {}, {}", m, selector)
 
 
 def _character_pattern(matrix: CyclicMatrix) -> "tuple[complex, ...] | None":
@@ -325,7 +327,7 @@ def _check_character_oracle(n: int, rng: random.Random, rec: CheckResult) -> Non
     for label, family, signs in (("plus", PLUS_FAMILY, (1, -1)), ("imaginary", IMAGINARY_FAMILY, (1j, -1j))):
         patterns = {_character_pattern(UNIT_VALUES[u]) for u in family}
         if not (patterns == set(_iter_product(signs, repeat=3))):
-            rec.fail(f"{label}-family patterns: {sorted(map(str, patterns))}")
+            rec.fail("{}-family patterns: {}", label, sorted(map(str, patterns)))
     for _ in range(n):
         x = _rand_matrix(rng)
         variant = rng.randrange(4)
@@ -338,7 +340,7 @@ def _check_character_oracle(n: int, rng: random.Random, rec: CheckResult) -> Non
         else:
             y = x + rotation_zero(rng.choice(RowSelector.all()), Fraction(rng.randint(1, 9)))
         if not ((x == y) == characters_close(x, y)):
-            rec.fail(f"character equality agreement: {x}, {y}")
+            rec.fail("character equality agreement: {}, {}", x, y)
 
 
 # name -> (check, divisor: the check runs max(1, samples // divisor) samples)

@@ -859,10 +859,17 @@ def row_sum_entry(rng, size):
 
 def test_row_sums_and_norm_match_comprehensions():
     rng = random.Random("row sums")
-    matrices = list(UNIT_VALUES.values()) + [rotation_zero(s, Fraction(7, 3)) for s in RowSelector.all()]
+    zeros = [rotation_zero(s, xi) for xi in (Fraction(7, 3), Fraction(1)) for s in RowSelector.all()]
+    matrices = list(UNIT_VALUES.values()) + zeros
     for seed in range(600):
-        size = _HUGE if seed % 3 == 0 else 9
+        size = (_HUGE, 9, 2**110)[seed % 3]
         matrices.append(CyclicMatrix.from_rows([[row_sum_entry(rng, size) for _ in range(3)] for _ in range(3)]))
+    seeded = matrices[16 + 54 :]
+    entries = [e for m in seeded for row in m.rows() for e in row]
+    # sqrt3 ints of both signs, entries over unequal denominators, ints past 2**100
+    assert min(e.root for e in entries) < 0 < max(e.root for e in entries)
+    assert sum(len({e.rat.denominator for row in m.rows() for e in row}) > 1 for m in seeded) > 400
+    assert max(abs(n) for m in seeded for n in m._num).bit_length() > 100
     verdicts = {True: 0, False: 0}
     for i, m in enumerate(matrices):
         sums, ref = m.row_sums(), ref_row_sums(m)
@@ -870,39 +877,19 @@ def test_row_sums_and_norm_match_comprehensions():
         norm, ref_norm = m.norm_sq(), ref_matrix_norm_sq(m)
         assert type(norm) is ExactScalar, i
         assert (norm._p, norm._q, norm._d) == (ref_norm._p, ref_norm._q, ref_norm._d), i
+        p, q, d = _norm_ints(m)  # not in lowest terms: compared as values
+        assert d > 0 and p * ref_norm._d == ref_norm._p * d and q * ref_norm._d == ref_norm._q * d, i
         assert _norm_sign(m) == norm.sign(), i  # read from the ints before the gcd
         # equal norms (a rotation zero added, a zero doubled) and unequal ones
-        for other in (m + matrices[16 + i % 27], 2 * m, matrices[i - 1]):
+        for other in (m + zeros[i % 54], 2 * m, matrices[i - 1]):
             same = norm == other.norm_sq()
             assert _same_norm(m, other) == same, i
             verdicts[same] += 1
     assert verdicts[True] and verdicts[False], verdicts
+    assert all(ref_matrix_norm(m) == (0, 0) for m in zeros)
     # norms 4 + 2*sqrt3 and 4: equal rational parts only
     root, two = (CyclicMatrix.from_rows([[x, 0, 0], [0, 0, 0], [0, 0, 0]]) for x in (ExactScalar(1, 1), 2))
     assert not _same_norm(root, two) and not _same_norm(two, root)
-
-
-def test_matrix_norm_matches_independent_reference():
-    rng = random.Random("matrix norm")
-    seeded = [
-        CyclicMatrix.from_rows([[row_sum_entry(rng, (9, 2**110, _HUGE)[i % 3]) for _ in range(3)] for _ in range(3)])
-        for i in range(300)
-    ]
-    entries = [e for m in seeded for row in m.rows() for e in row]
-    # sqrt3 ints of both signs, entries over unequal denominators, ints past 2**100
-    assert min(e.root for e in entries) < 0 < max(e.root for e in entries)
-    assert sum(len({e.rat.denominator for row in m.rows() for e in row}) > 1 for m in seeded) > 200
-    assert max(abs(n) for m in seeded for n in m._num).bit_length() > 100
-    zeros = [rotation_zero(s, xi) for xi in (Fraction(1), Fraction(7, 3)) for s in RowSelector.all()]
-    matrices = seeded + list(UNIT_VALUES.values()) + zeros
-    assert len(matrices) == 300 + 16 + 54
-    for i, m in enumerate(matrices):
-        rat, root = ref_matrix_norm(m)
-        p, q, d = _norm_ints(m)  # not in lowest terms: compared as values
-        assert d > 0 and p * rat.denominator == rat.numerator * d and q * root.denominator == root.numerator * d, i
-        norm = m.norm_sq()
-        assert (norm.rat, norm.root) == (rat, root), i
-    assert all(ref_matrix_norm(m) == (0, 0) for m in zeros)
 
 
 # The loop `_make` and `_key` that the generated straight-line ones replaced.

@@ -57,21 +57,44 @@ def test_sample_scaling():
 
 
 def test_fail_counts_every_call_and_keeps_the_first_detail():
+    class Unformattable:
+        def __format__(self, spec):
+            raise AssertionError("a later failure was formatted")
+
     rec = CheckResult("law", 3)
     assert rec.passed and rec.detail == ""
-    for detail in ("first", "second", "third"):
-        rec.fail(detail)
-    assert rec == CheckResult("law", 3, failures=3, detail="first") and not rec.passed
+    rec.fail("first: {}, {}", 1, "x")
+    rec.fail("second: {}", Unformattable())
+    rec.fail("third")
+    assert rec == CheckResult("law", 3, failures=3, detail="first: 1, x") and not rec.passed
+
+
+def _count_str(monkeypatch, classes):
+    """The instances whose `__str__` runs from now on, in order."""
+    printed = []
+    for cls in classes:
+        text = cls.__str__
+        monkeypatch.setattr(cls, "__str__", lambda self, text=text: printed.append(self) or text(self))
+    return printed
 
 
 def test_passing_laws_format_no_detail(monkeypatch):
     """A passing law builds no detail: no sample is printed on a passing run."""
-    printed = []
-    for cls in (ExactScalar, UnsignedPair, CyclicTriple, CyclicMatrix):
-        text = cls.__str__
-        monkeypatch.setattr(cls, "__str__", lambda self, text=text: printed.append(self) or text(self))
+    printed = _count_str(monkeypatch, (ExactScalar, UnsignedPair, CyclicTriple, CyclicMatrix))
     assert all(r.passed for r in run_checks(samples=20, seed=7))
     assert printed == []
+
+
+def test_failing_laws_format_only_the_first_detail(monkeypatch):
+    """A failing check formats the operands of its first failing law and no other."""
+    text = UnsignedPair.__str__
+    MUTANTS["pair-extra-term"](monkeypatch)
+    printed = _count_str(monkeypatch, (UnsignedPair,))
+    failing = [r for r in run_checks(samples=20, seed=1) if not r.passed]
+    assert [r.name for r in failing] == ["pair-ring-laws", "pair-signed-homomorphism"]
+    assert [r.failures for r in failing] == [35, 18]
+    operands = [r.detail.split(": ", 1)[1] for r in failing]
+    assert [", ".join(map(text, printed[:2])), ", ".join(map(text, printed[2:]))] == operands
 
 
 def test_rejects_nonpositive_samples():
