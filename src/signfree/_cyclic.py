@@ -15,9 +15,9 @@ of G, and zeros elsewhere.  Each shape's `_make`, which builds every
 result in lowest terms, and `_key`, its equality key, are generated
 the same way (`straight_line_make`, `straight_line_key`): the ints
 unpacked by name, one gcd, and a divide written out for each int.  So
-is its sum, `__add__` (`straight_line_sum`): the ints added pairwise
-over equal denominators, else cross-multiplied.  The loops these
-replaced are kept in ``tests/test_cyclic_core.py`` as the reference.
+is its sum, `__add__` (`straight_line_sum`): the ints cross-multiplied
+over the product of the denominators.  The loops these replaced are
+kept in ``tests/test_cyclic_core.py`` as the reference.
 
 An element holds its n parts as one flat tuple of ints
 ``(p0, q0, p1, q1, ...)`` over one shared denominator ``d > 0``: part i
@@ -138,7 +138,7 @@ def straight_line_make(size: int, name: str) -> "Callable[..., CyclicElement]":
         f"    {ints}= num\n"
         f"    g = gcd({ints}den)\n"
         "    element = new(cls)\n"
-        "    if g == 1:\n"
+        "    if g == 1:\n"  # kept: verify-laws x0.97 ops/s without it (BENCH_27.json)
         f"        element._num = ({ints})\n"
         "        element._den = den\n"
         "    else:\n"
@@ -153,11 +153,10 @@ def straight_line_sum(size: int, name: str) -> "Callable[[CyclicElement, object]
     """`__add__(self, other)` for elements of `size` flat ints, as one
     generated function compiled under ``<signfree NAME add>``.
 
-    Another shape or a non-element gives `NotImplemented`.  Over equal
-    denominators it adds the ints pairwise, else it cross-multiplies them
-    over ``dx * dy``; the class's `_make` divides out the gcd either way.
+    Another shape or a non-element gives `NotImplemented`.  It
+    cross-multiplies the ints over ``dx * dy``, equal denominators too,
+    and the class's `_make` divides out the gcd.
     """
-    add = ", ".join(f"x{i} + y{i}" for i in range(size))
     cross = ", ".join(f"x{i} * dy + y{i} * dx" for i in range(size))
     source = (
         "def add(self, other):\n"
@@ -167,8 +166,6 @@ def straight_line_sum(size: int, name: str) -> "Callable[[CyclicElement, object]
         f"    {_names('y', size)}= other._num\n"
         "    dx = self._den\n"
         "    dy = other._den\n"
-        "    if dx == dy:\n"
-        f"        return self._make(({add}), dx)\n"
         f"    return self._make(({cross}), dx * dy)\n"
     )
     return _compiled(source, name, "add")
@@ -185,7 +182,7 @@ def straight_line_key(size: int, pairs: list, name: str) -> "Callable[[CyclicEle
         "    den = self._den\n"
         + "".join(f"    k{n} = x{i} - x{j}\n" for n, (i, j) in enumerate(pairs))
         + f"    g = gcd({diffs}den)\n"
-        "    if g == 1:\n"
+        "    if g == 1:\n"  # kept: unit-tables x0.96 ops/s at seed 918273 without it (BENCH_27.json)
         f"        return ({diffs}), den\n"
         f"    return ({_names('k', len(pairs), ' // g')}), den // g\n"
     )
@@ -228,7 +225,7 @@ def checked_payload(entries: "Iterable[object]", names: "Iterable[str]") -> "tup
     num, dens = [], []
     for value, what in zip(entries, names):
         kind = type(value)
-        if kind is int:
+        if kind is int:  # reads by type kept: verify-laws p50 x1.03 without them (BENCH_27.json)
             p, q, d = value, 0, 1
         elif kind is Fraction:
             p, q, d = value.numerator, 0, value.denominator
@@ -236,11 +233,13 @@ def checked_payload(entries: "Iterable[object]", names: "Iterable[str]") -> "tup
             p, q, d = value._p, value._q, value._d
         else:  # bools, int subclasses and strs
             p, q, d = ExactScalar._parts(value) or ExactScalar._parts(as_scalar(value))
+        # kept, as is the join below: eval-stream p50 x1.05 without them and three others (BENCH_27.json)
         if (p < 0) if q == 0 else (_int_sign(p, q) < 0):
             raise ValueError(f"{what} must be nonnegative, got {_normalised(p, q, d)}")
         num += (p, q)
         dens.append(d)
     den = math.lcm(*dens)
+    # joined here, not by `join`: kept with the sign test above (BENCH_27.json)
     if den != 1:  # each entry is in lowest terms, so the join is too (see `join`)
         for i, d in enumerate(dens):
             if d != den:

@@ -119,7 +119,7 @@ class ExactScalar:
         s = root if isinstance(root, (int, Fraction)) else Fraction(root)
         rd, sd = r.denominator, s.denominator
         # Both parts are in lowest terms, so over their lcm gcd(p, q, d) == 1.
-        d = rd if rd == sd else math.lcm(rd, sd)
+        d = math.lcm(rd, sd)
         self._p = r.numerator * (d // rd)
         self._q = s.numerator * (d // sd)
         self._d = d
@@ -258,17 +258,14 @@ def _ratio(n: int, d: int) -> str:
 def _normalised(p: int, q: int, d: int) -> ExactScalar:
     """The scalar ``(p + q*sqrt(3)) / d`` for ``d > 0``, divided through by the gcd."""
     g = math.gcd(p, q, d)
-    if g != 1:
-        p, q, d = p // g, q // g, d // g
     scalar = object.__new__(ExactScalar)
-    scalar._p, scalar._q, scalar._d = p, q, d
+    scalar._p, scalar._q, scalar._d = p // g, q // g, d // g
     return scalar
 
 
 def _sum(p1: int, q1: int, d1: int, p2: int, q2: int, d2: int) -> ExactScalar:
-    """``(p1 + q1*sqrt(3)) / d1 + (p2 + q2*sqrt(3)) / d2``."""
-    if d1 == d2:
-        return _normalised(p1 + p2, q1 + q2, d1)
+    """``(p1 + q1*sqrt(3)) / d1 + (p2 + q2*sqrt(3)) / d2`` over ``d1 * d2``;
+    `_normalised` divides out the gcd."""
     return _normalised(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
 
 

@@ -529,6 +529,12 @@ BAD_ENTRIES = [
     -1, Fraction(-1, 6), "-0.75", ExactScalar(1, -1), ExactScalar(Fraction(-7, 4), 1), 1.5, "1/x",
     -_HUGE, Fraction(-_HUGE, 3**50), Digit.NEG, None,
 ]
+# every entry type in one call, all over d = 1 or over mixed denominators
+TYPE_BATCHES = [
+    [7, True, Digit.SEVEN, Fraction(4), ExactScalar(2), ExactScalar(1, 1), "5", _HUGE, False],
+    [7, True, Digit.SEVEN, Fraction(1, 2), ExactScalar(Fraction(2, 3)), ExactScalar(1, Fraction(1, 4)), "0.25",
+     "5/6", Fraction(_HUGE, 3**50)],
+]
 
 
 def raw_entry(rng):
@@ -589,6 +595,9 @@ def construction_cases(name, rng):
     yield "absolute_zero", lambda: absolute_zero(*constants), lambda: ref_absolute_zero(*constants)
     selector, xi = rng.choice(RowSelector.all()), rng.choice([x[0], 0, signed])
     yield "rotation_zero", lambda: rotation_zero(selector, xi), lambda: ref_rotation_zero(selector, xi)
+    batch = rng.sample(rng.choice(TYPE_BATCHES), 9)
+    batch_rows = [batch[r::3] for r in range(3)]
+    yield "from_rows of every entry type", lambda: CyclicMatrix.from_rows(batch_rows), lambda: ref_from_rows(batch_rows)
 
 
 def check_construction(name, build, reference, where):
