@@ -21,22 +21,21 @@ Two families of additive zeros exist:
 
 ``characters()`` gives three complex fingerprints that are additive and
 multiplicative modulo absolute zeros and separate equivalence classes;
-they serve as an independent cross-check on the exact arithmetic.
-``_from_characters`` inverts them where each is 1, -1, i or -i, as for
-the sixteen units, which :mod:`signfree.units` builds that way.
+they serve as an independent cross-check on the exact arithmetic.  Each
+is one rounding of exact ints from ``_character_ints``, whose first six
+are ``row_sums``; ``_from_characters`` reads that transform backwards for
+the sixteen units, whose characters are 1, -1, i or -i.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from collections.abc import Iterable
 from itertools import product as _iter_product
 
 from ._cyclic import CyclicElement, checked_payload, join
 from ._record import record
 from .scalars import ExactScalar, _int_sign, _normalised, _text, as_scalar
-from .triples import _COMPONENTS, CyclicTriple, _complex, _norm_sq_ints, _root
+from .triples import _CHARACTER_INTS, _COMPONENTS, CyclicTriple, _complex, _norm_sq_ints, _root
 
 __all__ = [
     "CyclicMatrix",
@@ -46,9 +45,6 @@ __all__ = [
     "find_square_roots",
     "characters_close",
 ]
-
-_OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
-_OMEGA2 = complex(-0.5, -math.sqrt(3.0) / 2.0)
 
 _ROWS = ("a", "b", "c")
 _COLUMNS = ("A", "B", "C")
@@ -88,10 +84,16 @@ class RowSelector:
 _SELECTORS = tuple(RowSelector(*choice) for choice in _iter_product(_COLUMNS, repeat=3))
 
 
-def _row_sum_ints(num: tuple) -> "tuple[int, ...]":
-    """The six ints of the row sums of a matrix's 18 payload ints; `_norm_ints` sums the same columns."""
+def _character_ints(num: tuple) -> "tuple[int, ...]":
+    """The 18 ints of psi_0, psi_1, psi_2 from a matrix's 18: psi_k is A + w^k*B + w^2k*C
+    of the columns, and w*(x, y, z) is (z, x, y), so each power of w shifts a column's
+    parts.  psi_0 is the row sums, which `_norm_ints` sums in its own pass."""
     a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5, c0, c1, c2, c3, c4, c5 = num  # columns A, B, C
-    return a0 + b0 + c0, a1 + b1 + c1, a2 + b2 + c2, a3 + b3 + c3, a4 + b4 + c4, a5 + b5 + c5
+    return (
+        a0 + b0 + c0, a1 + b1 + c1, a2 + b2 + c2, a3 + b3 + c3, a4 + b4 + c4, a5 + b5 + c5,
+        a0 + b4 + c2, a1 + b5 + c3, a2 + b0 + c4, a3 + b1 + c5, a4 + b2 + c0, a5 + b3 + c1,
+        a0 + b2 + c4, a1 + b3 + c5, a2 + b4 + c0, a3 + b5 + c1, a4 + b0 + c2, a5 + b1 + c3,
+    )
 
 
 def _norm_ints(m: "CyclicMatrix") -> "tuple[int, int, int]":
@@ -155,8 +157,8 @@ class CyclicMatrix(CyclicElement):
         return tuple(tuple(self._part(3 * s + r) for s in range(3)) for r in range(3))
 
     def row_sums(self) -> CyclicTriple:
-        """The triple of row sums; an exact homomorphism onto triples."""
-        return CyclicTriple._make(_row_sum_ints(self._num), self._den)
+        """The triple of row sums, psi_0; an exact homomorphism onto triples."""
+        return CyclicTriple._make(_character_ints(self._num)[:6], self._den)
 
     def norm_sq(self) -> ExactScalar:
         return _normalised(*_norm_ints(self))
@@ -165,17 +167,9 @@ class CyclicMatrix(CyclicElement):
         return _root(*_norm_ints(self))
 
     def characters(self) -> tuple[complex, complex, complex]:
-        """Three complex fingerprints, constant on equivalence classes."""
-        num, den = self._num, self._den
-        pa, pb, pc = (_complex(*num[k : k + 6], den) for k in (0, 6, 12))
-        chars = (
-            pa + pb + pc,
-            pa + _OMEGA * pb + _OMEGA2 * pc,
-            pa + _OMEGA2 * pb + _OMEGA * pc,
-        )
-        if not all(map(cmath.isfinite, chars)):  # finite columns, a sum past float range
-            raise OverflowError("characters too large for a float")
-        return chars
+        """Three complex fingerprints, constant on equivalence classes, each rounded once."""
+        chars, den = _character_ints(self._num), self._den
+        return _complex(*chars[:6], den), _complex(*chars[6:12], den), _complex(*chars[12:], den)
 
     def __str__(self) -> str:
         num, d = self._num, self._den
@@ -186,25 +180,15 @@ class CyclicMatrix(CyclicElement):
         return "CyclicMatrix({!r}, {!r}, {!r})".format(*self.columns)
 
 
-# each character value in {1, -1, i, -i} as a triple's (p, q) ints over 3: 1 is
-# (1, 0, 0), -1 is (0, 1, 1) as 1 + w + w^2 = 0, and +-i are sqrt3/3 * (1, 2, 0)
-# and sqrt3/3 * (1, 0, 2), as 1 + 2w = i*sqrt3 and 1 + 2w^2 = -i*sqrt3
-_CHARACTER_INTS = {1: (3, 0, 0, 0, 0, 0), -1: (0, 0, 3, 0, 3, 0), 1j: (0, 1, 0, 2, 0, 0), -1j: (0, 1, 0, 0, 0, 2)}
-
-
 def _from_characters(pattern: "tuple[complex, complex, complex]") -> CyclicMatrix:
     """The reduced matrix whose `characters()` are `pattern`, each in {1, -1, i, -i}.
 
-    Column s is (1/3) * sum of w^(-k*s) * psi_k over k, the inverse of
-    `characters`.  w^-1 * (a + b*w + c*w^2) is b + c*w + a*w^2, so each
-    power of w^-1 shifts a triple's ints by one part: no product is taken.
+    Column s is (1/3) * sum of w^(-k*s) * psi_k over k, and w^-1 is w^2:
+    `_character_ints` read on (psi_0, psi_2, psi_1) as columns gives 3 times
+    the columns plus constant ones, which `reduce` takes off.
     """
-    psis = [_CHARACTER_INTS[value] for value in pattern]
-    num: list = []
-    for s in range(3):
-        shifts = [2 * (k * s % 3) for k in range(3)]
-        num += map(sum, zip(*(psi[m:] + psi[:m] for psi, m in zip(psis, shifts))))
-    return CyclicMatrix._make(num, 9).reduce()
+    psi0, psi1, psi2 = (_CHARACTER_INTS[value] for value in pattern)
+    return CyclicMatrix._make(_character_ints(psi0 + psi2 + psi1), 9).reduce()
 
 
 def absolute_zero(xi: object, zeta: object, eta: object) -> CyclicMatrix:

@@ -16,8 +16,9 @@ the hash of a value with a sqrt(3) part return or use them.  `str` and
 `repr` print ``p/d`` and ``q/d`` with one gcd each; `_text` prints any
 ``(p, q, d)`` ints that way, so pairs, triples and matrices print their
 parts with no scalar built.  One rule, `_scaled`, brings any such ints
-into float range: `_float` (so `float()`, `to_complex` and `characters()`)
-and the triple and matrix `norm` read it, with no gcd taken.
+into float range: `_float` (so `float()`, `to_complex` and `characters()`,
+each part one rounding of exact ints, psi_0 being `row_sums`) and the triple
+and matrix `norm` read it, with no gcd taken.
 """
 
 from __future__ import annotations

@@ -20,6 +20,9 @@ __all__ = ["CyclicTriple"]
 
 _COMPONENTS = ("component a", "component b", "component c")  # entry names in errors
 _COMPLEX_SCALE = 10**12  # `from_complex` keeps 12 decimal places of each part
+# 1, -1, i and -i as a triple's (p, q) ints over 3: (1, 0, 0), (0, 1, 1) as 1 + w + w^2 = 0,
+# and sqrt3/3 times (1, 2, 0) and (1, 0, 2), as 1 + 2w = i*sqrt3 and 1 + 2w^2 = -i*sqrt3
+_CHARACTER_INTS = {1: (3, 0, 0, 0, 0, 0), -1: (0, 0, 3, 0, 3, 0), 1j: (0, 1, 0, 2, 0, 0), -1j: (0, 1, 0, 0, 0, 2)}
 
 
 def _round_scaled(v: float) -> int:
@@ -77,12 +80,11 @@ class CyclicTriple(CyclicElement):
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("cannot represent a non-finite complex value")
         x, y = _round_scaled(z.real), _round_scaled(z.imag)
-        # ints over 3 * _COMPLEX_SCALE: the real part is 3x at a (x >= 0) or -3x at b
-        # and c; i*y is exactly y*sqrt3 times (1, 2, 0), as 1 + 2w = i*sqrt3,
-        # for y >= 0 and |y|*sqrt3 times (1, 0, 2), as 1 + 2w**2 = -i*sqrt3, else
-        a, b, c = (3 * x, 0, 0) if x >= 0 else (0, -3 * x, -3 * x)
-        num = (a, y, b, 2 * y, c, 0) if y >= 0 else (a, -y, b, 0, c, -2 * y)
-        return cls._make(num, 3 * _COMPLEX_SCALE).reduce()
+        # ints over 3 * _COMPLEX_SCALE: |x| times the rational ints of 1 or -1, |y| the sqrt3 ints of i or -i
+        pa, _, pb, _, pc, _ = _CHARACTER_INTS[1 if x >= 0 else -1]
+        _, qa, _, qb, _, qc = _CHARACTER_INTS[1j if y >= 0 else -1j]
+        x, y = abs(x), abs(y)
+        return cls._make((x * pa, y * qa, x * pb, y * qb, x * pc, y * qc), 3 * _COMPLEX_SCALE).reduce()
 
     @property
     def a(self) -> ExactScalar:

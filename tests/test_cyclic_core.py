@@ -17,7 +17,6 @@ replaced the reference for those; `_normalised` must give the same
 value in lowest terms.
 """
 
-import cmath
 import math
 import random
 import sys
@@ -248,8 +247,6 @@ def test_unit_square_is_one_product(monkeypatch):
 # The old views of a tuple of ExactScalar (the columns, for matrices).
 
 _HALF, _ROOT_HALF = ExactScalar(Fraction(1, 2)), ExactScalar(0, Fraction(1, 2))
-_OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
-_OMEGA2 = complex(-0.5, -math.sqrt(3.0) / 2.0)
 
 
 def ref_repr(name, x):
@@ -271,14 +268,27 @@ def ref_norm_sq(x):
     return a * a + b * b + c * c - a * b - a * c - b * c
 
 
-def ref_to_complex(x):
+def ref_complex_parts(x):
+    """The real and imaginary parts of a + b*w + c*w^2, exactly."""
     a, b, c = x
-    return complex(float(a - (b + c) * _HALF), float((b - c) * _ROOT_HALF))
+    return a - (b + c) * _HALF, (b - c) * _ROOT_HALF
+
+
+def ref_to_complex(x):
+    return complex(*map(float, ref_complex_parts(x)))
+
+
+_W_POWERS = ((_ONE, _ZERO, _ZERO), (_ZERO, _ONE, _ZERO), (_ZERO, _ZERO, _ONE))  # 1, w, w^2 as triples
 
 
 def ref_characters(cols):
-    pa, pb, pc = (ref_to_complex(col) for col in cols)
-    return (pa + pb + pc, pa + _OMEGA * pb + _OMEGA2 * pc, pa + _OMEGA2 * pb + _OMEGA * pc)
+    """psi_0, psi_1, psi_2 exactly, as triples: psi_k = A + w^k*B + w^2k*C by
+    the reference triple product."""
+    a, b, c = cols
+    return [
+        ref_add(ref_add(a, ref_triple_mul(_W_POWERS[k], b)), ref_triple_mul(_W_POWERS[2 * k % 3], c))
+        for k in range(3)
+    ]
 
 
 def bits(values):
@@ -294,16 +304,23 @@ def float_view(view):
     return bits(values if isinstance(values, tuple) else [values])
 
 
-def ref_characters_view(cols):
-    """`ref_characters` as `float_view` shows it: finite columns whose
-    characters leave the float range raise, as `characters()` does."""
+def check_characters(bx, cols, where):
+    """`bx.characters()` is each exact psi part of `cols` rounded once, as
+    `float` rounds an ExactScalar: an exact zero part is 0.0, and
+    `OverflowError` is raised exactly where an exact part is past float range."""
+    exact = [part for psi in ref_characters(cols) for part in ref_complex_parts(psi)]
     try:
-        chars = ref_characters(cols)
-    except OverflowError as err:
-        return type(err), str(err)
-    if not all(map(cmath.isfinite, chars)):
-        return OverflowError, "characters too large for a float"
-    return bits(chars)
+        rounded = [float(part) for part in exact]
+    except OverflowError:
+        rounded = None
+    try:
+        got = [value for z in bx.characters() for value in (z.real, z.imag)]
+    except OverflowError:
+        assert rounded is None, where
+        return
+    assert rounded is not None, where
+    assert [value.hex() for value in got] == [value.hex() for value in rounded], where
+    assert all(repr(value) == "0.0" for value, part in zip(got, exact) if not part), where
 
 
 def check_views(name, bx, x, where):
@@ -320,7 +337,7 @@ def check_views(name, bx, x, where):
         sums = ref_add(ref_add(x[0], x[1]), x[2])
         assert bx.row_sums().components == sums, where
         assert str(bx.norm_sq()) == str(ref_norm_sq(sums)), where
-        assert float_view(bx.characters) == ref_characters_view(x), where
+        check_characters(bx, x, where)
         return
     components = bx.components
     assert all(type(part) is ExactScalar for part in components), where
@@ -829,7 +846,7 @@ def test_each_class_owns_a_distinct_copy_of_each_shared_entry():
     assert all(vars(cls)["__rmul__"] is vars(cls)["__mul__"] for cls in classes)
 
 
-# The comprehension over a matrix's payload ints that `matrices._row_sum_ints`
+# The comprehension over a matrix's payload ints that `matrices._character_ints`
 # replaced in `row_sums`, and a norm that shares no code with the core's: each
 # row sum of the printed rows as a (rational, sqrt3) pair of Fractions, and
 # a^2 + b^2 + c^2 - ab - bc - ca of them multiplied out in Q(sqrt3).

@@ -15,10 +15,12 @@ root of its result for the norm's ints.  Three references check them:
   least 2**-1000;
 * 1,500-digit `decimal` values: within 2 ulp wherever the exact value is
   a normal float, also on near-cancelling sqrt3 convergents, where the
-  former code printed 0.
+  former code printed 0, and on each part of the characters psi_0, psi_1,
+  psi_2, worked out exactly from a matrix's printed rows, where the former
+  `characters()`, kept here, summed rounded columns and left ~1e-16 in
+  place of an exact 0.
 """
 
-import cmath
 import decimal
 import math
 import random
@@ -98,17 +100,44 @@ def ref_complex(pa, qa, pb, qb, pc, qc, den, to_float=ref_float):
     return complex(to_float(2 * pa - pb - pc, 2 * qa - qb - qc, 2 * den), to_float(3 * (qb - qc), pb - pc, 2 * den))
 
 
+# The former `characters()`, kept as a reference: each column's complex
+# value rounded on its own, then summed as pa + w*pb + w^2*pc in floats.
+
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 _OMEGA2 = complex(-0.5, -math.sqrt(3.0) / 2.0)
 
 
-def ref_characters(m, to_float=ref_float):
+def former_characters(m):
     num, den = m._num, m._den
-    pa, pb, pc = (ref_complex(*num[k : k + 6], den, to_float) for k in (0, 6, 12))
-    chars = (pa + pb + pc, pa + _OMEGA * pb + _OMEGA2 * pc, pa + _OMEGA2 * pb + _OMEGA * pc)
-    if not all(map(cmath.isfinite, chars)):
-        raise OverflowError("characters too large for a float")
-    return chars
+    pa, pb, pc = (ref_complex(*num[k : k + 6], den) for k in (0, 6, 12))
+    return (pa + pb + pc, pa + _OMEGA * pb + _OMEGA2 * pc, pa + _OMEGA2 * pb + _OMEGA * pc)
+
+
+# w^j is cos_j + i*sin_j*sqrt3, j mod 3
+_COS = (Fraction(1), Fraction(-1, 2), Fraction(-1, 2))
+_SIN = (Fraction(0), Fraction(1, 2), Fraction(-1, 2))
+
+
+def exact_characters(m):
+    """The six parts of psi_0, psi_1, psi_2, real then imaginary, as exact
+    `decimal` values: psi_k is the sum of w^(r + k*s) times the entry in row
+    r, column s of the printed rows, worked out in Q(sqrt3) with Fractions."""
+    parts = []
+    for k in range(3):
+        re_rat = re_root = im_rat = im_root = Fraction(0)
+        for r, row in enumerate(m.rows()):
+            for s, entry in enumerate(row):
+                j = (r + k * s) % 3
+                re_rat, re_root = re_rat + _COS[j] * entry.rat, re_root + _COS[j] * entry.root
+                im_rat, im_root = im_rat + 3 * _SIN[j] * entry.root, im_root + _SIN[j] * entry.rat
+        parts += [exact_q3(re_rat, re_root), exact_q3(im_rat, im_root)]
+    return parts
+
+
+def exact_q3(rat, root):
+    """``rat + root*sqrt3`` as an exact `decimal` value."""
+    d = math.lcm(rat.denominator, root.denominator)
+    return exact_value(rat.numerator * (d // rat.denominator), root.numerator * (d // root.denominator), d)
 
 
 def seeded_payloads(parts):
@@ -135,17 +164,33 @@ def test_to_complex_matches_normalised_parts():
     assert raised
 
 
-def test_characters_match_normalised_parts():
+def test_characters_round_each_exact_part_once():
+    # an exact zero part prints 0.0, each part is within 2 ulp of the exact value
+    # where that is a normal float, and it raises exactly where one is past float range
     matrices = [CyclicMatrix._make(num, den) for num, den in seeded_payloads(9)]
     matrices += list(UNIT_VALUES.values())
     matrices += [rotation_zero(selector, xi) for selector in RowSelector.all() for xi in (1, Fraction(7, 3))]
-    raised = 0
+    seen = {"raised": 0, "zero": 0, "within 2 ulp": 0, "former farther than 2 ulp": 0}
     for m in matrices:
-        expected = outcome(ref_characters, m)
-        assert outcome(m.characters) == expected, m
-        assert outcome(ref_characters, m, former_float) == expected, m
-        raised += expected is OverflowError
-    assert raised
+        exact = exact_characters(m)
+        past = any(math.isinf(float(part)) for part in exact)
+        try:
+            got = [value for z in m.characters() for value in (z.real, z.imag)]
+        except OverflowError:
+            assert past, m
+            seen["raised"] += 1
+            continue
+        assert not past, m
+        former = [value for z in former_characters(m) for value in (z.real, z.imag)]
+        for value, old, part in zip(got, former, exact):
+            if not part:
+                assert repr(value) == "0.0", m
+                seen["zero"] += 1
+            verdict = within_2_ulp(value, part)
+            assert verdict is not False, (m, value, part)
+            seen["within 2 ulp"] += verdict is True
+            seen["former farther than 2 ulp"] += within_2_ulp(old, part) is False or (not part and old != 0)
+    assert all(seen.values()), seen
 
 
 # The former float view and norm, kept as references.  They scaled the

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signfree import (
+    UNIT_VALUES,
     CyclicMatrix,
     CyclicTriple,
     ExactScalar,
@@ -16,6 +18,7 @@ from signfree import (
     find_square_roots,
     rotation_zero,
 )
+from signfree.matrices import _character_ints
 
 M1 = CyclicMatrix.from_rows([[0, 3, 2], [2, 2, 0], [1, 0, 3]])
 M2 = CyclicMatrix.from_rows([[0, 3, 1], [1, 0, 0], [3, 2, 1]])
@@ -243,6 +246,24 @@ def test_characters_of_zero_classes():
     for value in absolute_zero(1, 2, 3).characters():
         assert abs(value) < 1e-12
     assert characters_close(M1 + absolute_zero(2, 0, 1), M1)
+
+
+def test_character_transform_read_backwards_is_three_times_the_matrix():
+    # (psi_0, psi_2, psi_1) read as columns gives back 3*A, 3*B, 3*C, the inverse
+    # by which the units are built from their characters, plus an absolute zero:
+    # 1 + w + w^2 is (1, 1, 1), so column s gains each other column's entry sum
+    rng = random.Random("character round trip")
+    payloads = [[rng.randrange(2 ** rng.randrange(1, 101)) for _ in range(18)] for _ in range(300)]
+    payloads += [list(m._num) for m in UNIT_VALUES.values()]
+    payloads += [list(rotation_zero(s, xi)._num) for s in RowSelector.all() for xi in (1, Fraction(7, 3))]
+    assert max(n for num in payloads for n in num).bit_length() == 100
+    for num in payloads:
+        psi = _character_ints(num)
+        back = _character_ints(psi[:6] + psi[12:] + psi[6:12])
+        sums = [[sum(num[6 * s + h : 6 * s + 6 : 2]) for h in (0, 1)] for s in range(3)]  # (p, q) sums per column
+        zero = [sum(sums[s][k % 2] for s in range(3) if s != k // 6) for k in range(18)]
+        assert back == tuple(3 * n + z for n, z in zip(num, zero)), num
+        assert CyclicMatrix._make(back, 3) == CyclicMatrix._make(num, 1), num
 
 
 def test_identity_matrix():
