@@ -39,12 +39,13 @@ Nonnegativity is checked once, where values come from outside: every
 constructor and every scale factor passes its entries through
 `checked_payload`, which reads each entry as ``(p, q, d)`` ints (an
 int, Fraction or scalar by its type), tests its sign once and joins the
-entries over one denominator.  Sums, products and reductions of
-nonnegative parts stay nonnegative, so results are built unchecked by
-the class's ``_make``.  ``*``, ``**``, ``==``, ``hash`` and `reduce()` are
-written once, here, and each public class gets its own copy of them (and
-its own generated ``+``), so per-class instrumentation
-(``bench/tracing.py``) can wrap each apart.
+entries over one denominator, the only join: a matrix built from
+columns passes it all nine entries, a built triple's by its components.
+Sums, products and reductions of nonnegative parts stay nonnegative, so
+results are built unchecked by the class's ``_make``.  ``*``, ``**``,
+``==``, ``hash`` and `reduce()` are written once, here, and each public
+class gets its own copy of them (and its own generated ``+``), so
+per-class instrumentation (``bench/tracing.py``) can wrap each apart.
 """
 
 from __future__ import annotations
@@ -203,24 +204,13 @@ def _compiled(source: str, name: str, what: str) -> Callable:
     return namespace[what]
 
 
-def join(payloads: "list[tuple[tuple, int]]") -> "tuple[tuple, int]":
-    """``(ints, d)`` payloads in lowest terms, joined over the lcm of the ``d``.
-
-    The result is in lowest terms too: a prime power that divides the lcm
-    exactly divides some payload's ``d``, and that payload's ints are not
-    all divisible by the prime.
-    """
-    den = math.lcm(*[d for _, d in payloads])
-    return tuple([n * (den // d) for num, d in payloads for n in num]), den
-
-
 def checked_payload(entries: "Iterable[object]", names: "Iterable[str]") -> "tuple[tuple, int]":
     """The ``(ints, d)`` payload of outside entries, one part each.
 
     An entry is an `ExactScalar`, int, Fraction or numeric str; each must
     be nonnegative, and its name in `names` says which one is not.  Ints,
     Fractions and scalars (exact types) are read by type, with no
-    `ExactScalar` built.
+    `ExactScalar` built.  Each entry is checked before the next is drawn.
     """
     num, dens = [], []
     for value, what in zip(entries, names):
@@ -232,15 +222,16 @@ def checked_payload(entries: "Iterable[object]", names: "Iterable[str]") -> "tup
         elif kind is ExactScalar:
             p, q, d = value._p, value._q, value._d
         else:  # bools, int subclasses and strs
-            p, q, d = ExactScalar._parts(value) or ExactScalar._parts(as_scalar(value))
+            p, q, d = ExactScalar._parts(as_scalar(value))
         # kept, as is the join below: eval-stream p50 x1.05 without them and three others (BENCH_27.json)
         if (p < 0) if q == 0 else (_int_sign(p, q) < 0):
             raise ValueError(f"{what} must be nonnegative, got {_normalised(p, q, d)}")
         num += (p, q)
         dens.append(d)
     den = math.lcm(*dens)
-    # joined here, not by `join`: kept with the sign test above (BENCH_27.json)
-    if den != 1:  # each entry is in lowest terms, so the join is too (see `join`)
+    # The join is in lowest terms, as each entry is: a prime power that divides the lcm
+    # exactly divides some entry's d, whose p and q are not both divisible by the prime.
+    if den != 1:  # kept with the sign test above (BENCH_27.json)
         for i, d in enumerate(dens):
             if d != den:
                 f = den // d

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import product as _iter_product
 
-from ._cyclic import CyclicElement, checked_payload, join
+from ._cyclic import CyclicElement, checked_payload
 from ._record import record
 from .scalars import ExactScalar, _int_sign, _normalised, _text, as_scalar
 from .triples import _CHARACTER_INTS, _COMPONENTS, CyclicTriple, _complex, _norm_sq_ints, _root
@@ -102,11 +102,11 @@ def _norm_ints(m: "CyclicMatrix") -> "tuple[int, int, int]":
     return _norm_sq_ints(a0 + b0 + c0, a1 + b1 + c1, a2 + b2 + c2, a3 + b3 + c3, a4 + b4 + c4, a5 + b5 + c5, m._den)
 
 
-def _column_payload(value: object, which: str) -> "tuple[tuple, int]":
+def _column_entries(value: object, which: str) -> Iterable[object]:
     if isinstance(value, CyclicTriple):
-        return value._num, value._den
+        return value.components
     if isinstance(value, (tuple, list)) and len(value) == 3:
-        return checked_payload(value, _COMPONENTS)
+        return value
     raise TypeError(f"column {which} must be a CyclicTriple or a 3-sequence")
 
 
@@ -118,8 +118,10 @@ class CyclicMatrix(CyclicElement):
     _ORDERS = (3, 3)
 
     def __init__(self, col_a: object, col_b: object, col_c: object) -> None:
+        # read lazily: a column's type is checked after the entries of the columns before it
         columns = zip((col_a, col_b, col_c), _COLUMNS)
-        self._num, self._den = join([_column_payload(col, which) for col, which in columns])
+        entries = (x for col, which in columns for x in _column_entries(col, which))
+        self._num, self._den = checked_payload(entries, _COMPONENTS * 3)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[object]]) -> "CyclicMatrix":
@@ -205,7 +207,7 @@ def rotation_zero(selector: RowSelector, xi: object) -> CyclicMatrix:
     zero, and leave norms unchanged under addition -- yet in general
     they are not equivalent to the zero class.
     """
-    p, q, d = ExactScalar._parts(xi) or ExactScalar._parts(as_scalar(xi))
+    p, q, d = ExactScalar._parts(as_scalar(xi))
     if _int_sign(p, q) <= 0:
         raise ValueError(f"rotation zeros need a positive entry, got {_normalised(p, q, d)}")
     num = [0] * 18

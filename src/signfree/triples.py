@@ -26,8 +26,8 @@ _CHARACTER_INTS = {1: (3, 0, 0, 0, 0, 0), -1: (0, 0, 3, 0, 3, 0), 1j: (0, 1, 0, 
 
 
 def _round_scaled(v: float) -> int:
-    """``round(Fraction(v) * 10**12)`` from v's int ratio: the nearest int,
-    ties to even."""
+    """``round(Fraction(v) * 10**12)`` from v's int ratio, ties to even; kept:
+    verify-laws x0.98 ops/s with that `round` instead (BENCH_30.json)."""
     n, d = v.as_integer_ratio()  # d is a power of 2
     q, r = divmod(n * _COMPLEX_SCALE, d)
     return q + 1 if 2 * r > d or (2 * r == d and q & 1) else q

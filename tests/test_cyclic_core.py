@@ -495,6 +495,20 @@ def ref_from_rows(rows):
     return ref_matrix([ref_vector([row[s] for row in rows], _TRIPLE_NAMES) for s in range(3)])
 
 
+def ref_init(columns):
+    """`CyclicMatrix(*columns)` as it was: each column's payload in turn, a built
+    triple's taken as it is, then the three joined."""
+    payloads = []
+    for column, which in zip(columns, "ABC"):
+        if isinstance(column, CyclicTriple):
+            payloads.append((column.components, (column._num, column._den)))
+        elif isinstance(column, (tuple, list)) and len(column) == 3:
+            payloads.append(ref_vector(column, _TRIPLE_NAMES))
+        else:
+            raise TypeError(f"column {which} must be a CyclicTriple or a 3-sequence")
+    return ref_matrix(payloads)
+
+
 def ref_from_signed(name, value):
     scalar = as_scalar(value)
     negative = scalar.sign() < 0
@@ -604,7 +618,8 @@ def construction_cases(name, rng):
     except (TypeError, ValueError):
         pass
     else:
-        yield "init with a triple", lambda: CyclicMatrix(first, *columns[1:]), lambda: ref_from_rows(rows)
+        with_triple = [first, *columns[1:]]
+        yield "init with a triple", lambda: CyclicMatrix(*with_triple), lambda: ref_init(with_triple)
     yield "zero", CyclicMatrix.zero, lambda: ref_from_rows([[0] * 3] * 3)
     yield "one", CyclicMatrix.one, lambda: ref_from_rows([[1, 0, 0], [0] * 3, [0] * 3])
     yield "from_signed", lambda: CyclicMatrix.from_signed(signed), lambda: ref_from_signed(name, signed)
@@ -652,9 +667,14 @@ def test_each_bad_entry_is_refused_in_each_position():
                 ("matrix", lambda: CyclicMatrix(x[0:3], x[3:6], x[6:9]), lambda: ref_from_rows(rows)),
             ]
             if i < 3:
+                # a column that is no sequence, after and before the bad entry's column:
+                # each column's type is checked after the entries of the columns before it
+                after, before = [triple, 5, x[6:9]], [None, triple, x[6:9]]
                 cases += [
                     ("triple", lambda: CyclicTriple(*triple), lambda: ref_vector(triple, _TRIPLE_NAMES)),
                     ("matrix", lambda: absolute_zero(*triple), lambda: ref_absolute_zero(*triple)),
+                    ("matrix", lambda: CyclicMatrix(*after), lambda: ref_init(after)),
+                    ("matrix", lambda: CyclicMatrix(*before), lambda: ref_init(before)),
                 ]
             if i < 2:
                 cases.append(("pair", lambda: UnsignedPair(*pair), lambda: ref_vector(pair, _PAIR_NAMES)))
