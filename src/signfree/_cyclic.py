@@ -25,7 +25,8 @@ is ``(p_i + q_i*sqrt(3)) / d``.  The ints and ``d`` have no common
 factor, so each operation is int multiplies and adds plus one gcd over
 the whole tuple, with no `ExactScalar` in between.  Scalars and triples
 are built only at the boundary: constructors, accessors, `repr` and the
-float views.  `str` prints each part's ints with `scalars._text`.
+float views.  `str` fills the marks of the class's `_LITERAL` with each
+part's ints printed by `scalars._text`; the parser reads the same literal.
 
 The parts fall into runs of consecutive parts (the whole element for
 pairs and triples, one column for matrices), and a run that is a
@@ -37,26 +38,28 @@ gives the printed form.
 
 Nonnegativity is checked once, where values come from outside: every
 constructor and every scale factor passes its entries through
-`checked_payload`, which reads each entry as ``(p, q, d)`` ints (an
-int, Fraction or scalar by its type), tests its sign once and joins the
-entries over one denominator, the only join: a matrix built from
-columns passes it all nine entries, a built triple's by its components.
-Sums, products and reductions of nonnegative parts stay nonnegative, so
-results are built unchecked by the class's ``_make``.  ``*``, ``**``,
-``==``, ``hash`` and `reduce()` are written once, here, and each public
-class gets its own copy of them (and its own generated ``+``), so
-per-class instrumentation (``bench/tracing.py``) can wrap each apart.
+`checked_payload`, which reads each entry as ``(p, q, d)`` ints (an int,
+Fraction or scalar by its type), tests its sign once and joins the
+entries over one denominator, the only join: a matrix built from columns
+passes it all nine entries, a built triple's by its components, and a
+literal its items in part order.  Sums, products and reductions of
+nonnegative parts stay nonnegative, so results are built unchecked by
+the class's ``_make``.  ``*``, ``**``, ``==``, ``hash`` and `reduce()`
+are written once, here, and each public class gets its own copy of them
+(and its own generated ``+``), so per-class instrumentation
+(``bench/tracing.py``) can wrap each apart.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import types
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import product
 
-from .scalars import ExactScalar, _int_sign, _normalised, as_scalar, power
+from .scalars import ExactScalar, _int_sign, _normalised, _text, as_scalar, power
 
 SCALAR_TYPES = (ExactScalar, int, Fraction, str)
 
@@ -243,12 +246,13 @@ def checked_payload(entries: "Iterable[object]", names: "Iterable[str]") -> "tup
 class CyclicElement:
     """Nonnegative parts of a group algebra element, as ints over one denominator.
 
-    Subclasses set `_NOUN`, their plural for error texts, and `_ORDERS`,
-    the cyclic factors of their group; the last factor's order is the
-    length of a run.  Each subclass gets its own copy of the operators and
-    `reduce` below, and defines none of them itself; its product, sum,
-    `_make` (nonnegative ints over a denominator, to an element in lowest
-    terms) and `_key` are generated for its shape when it is created.
+    Subclasses set `_NOUN`, their plural for error texts, `_ORDERS`, the
+    cyclic factors of their group (the last one's order is a run's length),
+    `_LITERAL`, their text with each item marked by its part's digit, and
+    `_ENTRIES`, the part names for error texts.  Each subclass gets its own
+    copy of the operators and `reduce` below; its product, sum, `_make`
+    (nonnegative ints over a denominator, to an element in lowest terms)
+    and `_key` are generated for its shape when it is created.
     """
 
     __slots__ = ("_num", "_den")
@@ -272,6 +276,15 @@ class CyclicElement:
             own = types.FunctionType(f.__code__, f.__globals__, name, f.__defaults__, f.__closure__)
             setattr(cls, name, own)
         cls.__rmul__ = cls.__mul__
+        # the literal as a format string, each mark a field, and each part's item in text order
+        cls._FORMAT = re.sub(r"\d", r"{\g<0>}", cls._LITERAL.replace("{", "{{").replace("}", "}}"))
+        marks = re.findall(r"\d", cls._LITERAL)
+        cls._ITEM_OF_PART = tuple(marks.index(str(k)) for k in range(size // 2))
+
+    @classmethod
+    def _from_literal(cls, items: "Sequence[object]") -> "CyclicElement":
+        """The element whose literal holds `items` in text order, checked in part order."""
+        return cls._make(*checked_payload([items[i] for i in cls._ITEM_OF_PART], cls._ENTRIES))
 
     @classmethod
     def zero(cls) -> "CyclicElement":
@@ -342,6 +355,13 @@ class CyclicElement:
     def is_reduced(self) -> bool:
         # the core's own function: a tracer may wrap the class's copy, and counts calls to it
         return CyclicElement.reduce(self)._num == self._num
+
+    def __str__(self) -> str:
+        num, d = self._num, self._den
+        return self._FORMAT.format(*[_text(num[i], num[i + 1], d) for i in range(0, len(num), 2)])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(str, self.components))})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):

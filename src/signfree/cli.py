@@ -270,4 +270,6 @@ def main_entry() -> None:
         # stdout to /dev/null, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    except KeyboardInterrupt:  # Ctrl-C: 128 + SIGINT, the status a shell gives an interrupted command
+        sys.exit(130)
     sys.exit(status)

@@ -28,16 +28,16 @@ unambiguous under case folding.
 Functions: reduce, norm, normsq, conj, tocomplex, rowsums, chars.
 
 Each function and each literal system is one table entry that the
-parser, `kind_of` and `evaluate` all read.  The tokenizer's matches
-tile the text (white space, a number, a name or any one character), so
-each token's kind comes from its first character and its position from
-the lengths before it.  Tokens are plain ``(kind, text, position)``
-tuples.  `expr` and `term` are one precedence-climbing method over the
-binding table ``{'+': 1, '-': 1, '*': 2}``, and `factor` reads its
-primary itself, so a parenthesis costs two stack frames.  A flat
-operator chain such as ``1+1+...+1`` is parsed, checked and evaluated in
-a loop, so only nesting (parentheses, unary '-', literals, calls) meets
-the recursion limit.
+parser, `kind_of` and `evaluate` all read; a literal's layout is its
+class's `_LITERAL`.  The tokenizer's matches tile the text (white space,
+a number, a name or any one character), so each token's kind comes from
+its first character and its position from the lengths before it.
+Tokens are plain ``(kind, text, position)`` tuples.  `expr` and `term`
+are one precedence-climbing method over the binding table
+``{'+': 1, '-': 1, '*': 2}``, and `factor` reads its primary itself, so a
+parenthesis costs two stack frames.  A flat chain such as ``1+1+...+1``
+is parsed, checked and evaluated in a loop, so only nesting
+(parentheses, unary '-', literals, calls) meets the recursion limit.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import re
 from collections.abc import Callable
 from enum import Enum
 
+from ._cyclic import CyclicElement
 from ._record import record
 from .matrices import CyclicMatrix
 from .pairs import UnsignedPair
@@ -103,7 +104,7 @@ class UnitRef(Expression):
 @record(frozen=True)
 class VectorLit(Expression):
     system: str  # 'p', 't' or 'm'
-    items: tuple[Expression, ...]  # row-major for 'm'
+    items: tuple[Expression, ...]  # in the order the literal's text holds them
 
 
 @record(frozen=True)
@@ -144,15 +145,10 @@ _FUNCTIONS: dict[str, tuple[str, dict[Kind, Kind]]] = {
     "chars": ("characters", {Kind.MATRIX: Kind.CHARS}),
 }
 
-# literal prefix -> (kind, layout with '_' for each item, constructor taking the items)
+# literal prefix -> (kind, class); the class's `_LITERAL` is the layout its items are read in
 _SYSTEMS = {
-    "p": (Kind.PAIR, "{_,_}", UnsignedPair),
-    "t": (Kind.TRIPLE, "{_,_,_}", CyclicTriple),
-    "m": (
-        Kind.MATRIX,
-        "{[_,_,_];[_,_,_];[_,_,_]}",
-        lambda *items: CyclicMatrix.from_rows([items[0:3], items[3:6], items[6:9]]),
-    ),
+    cls._LITERAL[0]: (kind, cls)
+    for kind, cls in ((Kind.PAIR, UnsignedPair), (Kind.TRIPLE, CyclicTriple), (Kind.MATRIX, CyclicMatrix))
 }
 
 _UNIT_TOKENS = {member.name: member for member in UnitName}
@@ -284,7 +280,13 @@ class _Parser:
         if lower == "sqrt3":
             return ScalarConst(pos, SQRT3)
         if lower in _SYSTEMS and follower == "{":
-            return VectorLit(pos, lower, self._items(_SYSTEMS[lower][1]))
+            items = []
+            for mark in _SYSTEMS[lower][1]._LITERAL[1:]:  # after the prefix, each digit marks an item
+                if mark.isdigit():
+                    items.append(self._expr(0))
+                else:
+                    self._expect(mark)
+            return VectorLit(pos, lower, tuple(items))
         if lower in _FUNCTIONS and follower == "(":
             self.index += 1
             arg = self._expr(0)
@@ -294,16 +296,6 @@ class _Parser:
         if upper in _UNIT_TOKENS:
             return UnitRef(pos, _UNIT_TOKENS[upper])
         raise ExpressionError(f"unknown name {text!r}", pos)
-
-    def _items(self, layout: str) -> tuple[Expression, ...]:
-        """The items of a literal written as `layout`, each '_' standing for one item."""
-        items = []
-        for mark in layout:
-            if mark == "_":
-                items.append(self._expr(0))
-            else:
-                self._expect(mark)
-        return tuple(items)
 
 
 def parse(text: str) -> Expression:
@@ -399,7 +391,7 @@ def evaluate(expr: Expression) -> object:
     if isinstance(expr, UnitRef):
         return UNIT_VALUES[expr.unit]
     if isinstance(expr, VectorLit):
-        return _SYSTEMS[expr.system][2](*[evaluate(item) for item in expr.items])
+        return _SYSTEMS[expr.system][1]._from_literal([evaluate(item) for item in expr.items])
     if isinstance(expr, Negate):
         return -evaluate(expr.operand)
     if isinstance(expr, BinOp):
@@ -427,7 +419,7 @@ def format_complex(value: complex) -> str:
 
 def format_value(value: object) -> str:
     """Canonical textual output for every evaluator result."""
-    if isinstance(value, (ExactScalar, UnsignedPair, CyclicTriple, CyclicMatrix)):
+    if isinstance(value, (ExactScalar, CyclicElement)):
         return str(value)
     if isinstance(value, complex):
         return format_complex(value)

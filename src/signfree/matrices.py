@@ -1,7 +1,7 @@
 """3x3 nonnegative matrices built from three cyclic-triple columns.
 
-A :class:`CyclicMatrix` is printed with rows a, b, c top to bottom and
-columns A, B, C left to right.  Each column is a
+A :class:`CyclicMatrix` is written, as its `_LITERAL` marks it, with rows
+a, b, c top to bottom and columns A, B, C left to right.  Each column is a
 :class:`~signfree.triples.CyclicTriple`, and the columns themselves
 follow the same cyclic rule (B*B lands in C, B*C in A, C*C in B), which
 makes the product commutative, associative and distributive: it is
@@ -34,8 +34,8 @@ from itertools import product as _iter_product
 
 from ._cyclic import CyclicElement, checked_payload
 from ._record import record
-from .scalars import ExactScalar, _int_sign, _normalised, _text, as_scalar
-from .triples import _CHARACTER_INTS, _COMPONENTS, CyclicTriple, _complex, _norm_sq_ints, _root
+from .scalars import ExactScalar, _int_sign, _normalised, as_scalar
+from .triples import _CHARACTER_INTS, CyclicTriple, _complex, _norm_sq_ints, _root
 
 __all__ = [
     "CyclicMatrix",
@@ -116,12 +116,14 @@ class CyclicMatrix(CyclicElement):
     __slots__ = ()
     _NOUN = "matrices"
     _ORDERS = (3, 3)
+    _LITERAL = "m{[0,3,6];[1,4,7];[2,5,8]}"  # part 3*s + r is row r of column s
+    _ENTRIES = CyclicTriple._ENTRIES * 3
 
     def __init__(self, col_a: object, col_b: object, col_c: object) -> None:
         # read lazily: a column's type is checked after the entries of the columns before it
         columns = zip((col_a, col_b, col_c), _COLUMNS)
         entries = (x for col, which in columns for x in _column_entries(col, which))
-        self._num, self._den = checked_payload(entries, _COMPONENTS * 3)
+        self._num, self._den = checked_payload(entries, self._ENTRIES)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[object]]) -> "CyclicMatrix":
@@ -129,9 +131,7 @@ class CyclicMatrix(CyclicElement):
         grid = [list(row) for row in rows]
         if len(grid) != 3 or any(len(row) != 3 for row in grid):
             raise ValueError("expected a 3x3 grid of entries")
-        # checked column by column, each top to bottom, named by row
-        entries = [row[s] for s in range(3) for row in grid]
-        return cls._make(*checked_payload(entries, _COMPONENTS * 3))
+        return cls._from_literal([x for row in grid for x in row])
 
     @property
     def col_a(self) -> CyclicTriple:
@@ -172,11 +172,6 @@ class CyclicMatrix(CyclicElement):
         """Three complex fingerprints, constant on equivalence classes, each rounded once."""
         chars, den = _character_ints(self._num), self._den
         return _complex(*chars[:6], den), _complex(*chars[6:12], den), _complex(*chars[12:], den)
-
-    def __str__(self) -> str:
-        num, d = self._num, self._den
-        entries = [_text(num[i], num[i + 1], d) for i in range(0, 18, 2)]  # part 3*s + r is row r of column s
-        return "m{" + ";".join("[" + ",".join(entries[r::3]) + "]" for r in range(3)) + "}"
 
     def __repr__(self) -> str:
         return "CyclicMatrix({!r}, {!r}, {!r})".format(*self.columns)

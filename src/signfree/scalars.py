@@ -11,7 +11,7 @@ for ``(p + q*sqrt(3)) / d``, with ``d > 0`` and ``gcd(p, q, d) == 1``.
 That form is unique, so equality compares three ints, and each sum,
 product or quotient is integer multiplies and adds plus one gcd.
 `Fraction`s are built only at the boundaries: the constructor accepts
-them (and ints and numeric strings), and the `rat`/`root` properties and
+only them, ints and numeric strings, and the `rat`/`root` properties and
 the hash of a value with a sqrt(3) part return or use them.  `str` and
 `repr` print ``p/d`` and ``q/d`` with one gcd each; `_text` prints any
 ``(p, q, d)`` ints that way, so pairs, triples and matrices print their
@@ -35,11 +35,14 @@ _SQRT3_FLOAT = math.sqrt(3.0)
 
 def as_scalar(value: "ExactScalar | Fraction | int | str") -> "ExactScalar":
     """Coerce ints, Fractions and numeric strings (incl. decimals) exactly."""
-    if isinstance(value, ExactScalar):
-        return value
-    if isinstance(value, (int, Fraction, str)):
-        return ExactScalar(value)
-    raise TypeError(f"cannot interpret {type(value).__name__} as an exact scalar")
+    return value if isinstance(value, ExactScalar) else ExactScalar(value)
+
+
+def _from_str(value: object) -> Fraction:
+    """A numeric str read exactly; any type but str is refused."""
+    if not isinstance(value, str):
+        raise TypeError(f"cannot interpret {type(value).__name__} as an exact scalar")
+    return Fraction(value)
 
 
 def power(base: object, exponent: int, one: Callable[[], object]) -> object:
@@ -116,8 +119,8 @@ class ExactScalar:
     __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, rat: Fraction | int | str = 0, root: Fraction | int | str = 0) -> None:
-        r = rat if isinstance(rat, (int, Fraction)) else Fraction(rat)
-        s = root if isinstance(root, (int, Fraction)) else Fraction(root)
+        r = rat if isinstance(rat, (int, Fraction)) else _from_str(rat)
+        s = root if isinstance(root, (int, Fraction)) else _from_str(root)
         rd, sd = r.denominator, s.denominator
         # Both parts are in lowest terms, so over their lcm gcd(p, q, d) == 1.
         d = math.lcm(rd, sd)

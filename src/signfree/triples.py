@@ -1,12 +1,12 @@
 """Cyclic three-component vectors: complex numbers without signs.
 
-A :class:`CyclicTriple` ``t{a,b,c}`` has nonnegative components and the
-cyclic product rule (second basis element squared gives the third, and
-so on around).  Adding a constant vector ``(k, k, k)`` never changes the
-encoded value, so equality ignores it.  Under that quotient the system
-is the complex plane: ``(a, b, c)`` stands for ``a + b*w + c*w**2`` with
-``w = exp(2*pi*i/3)``.  The arithmetic is the shared cyclic core
-(:mod:`signfree._cyclic`) with three parts: Q(sqrt 3)[C3].
+A :class:`CyclicTriple` ``t{a,b,c}`` (its `_LITERAL`) has nonnegative
+components and the cyclic product rule (second basis element squared
+gives the third, and so on around).  Adding a constant vector
+``(k, k, k)`` never changes the encoded value, so equality ignores it.
+Under that quotient it is the complex plane: ``(a, b, c)`` stands for
+``a + b*w + c*w**2``, ``w = exp(2*pi*i/3)``.  Arithmetic, printing and
+the literal's reading are the shared cyclic core on Q(sqrt 3)[C3].
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 
 from ._cyclic import CyclicElement, checked_payload
-from .scalars import ExactScalar, _float, _normalised, _scaled, _text
+from .scalars import ExactScalar, _float, _normalised, _scaled
 
 __all__ = ["CyclicTriple"]
 
-_COMPONENTS = ("component a", "component b", "component c")  # entry names in errors
 _COMPLEX_SCALE = 10**12  # `from_complex` keeps 12 decimal places of each part
 # 1, -1, i and -i as a triple's (p, q) ints over 3: (1, 0, 0), (0, 1, 1) as 1 + w + w^2 = 0,
 # and sqrt3/3 times (1, 2, 0) and (1, 0, 2), as 1 + 2w = i*sqrt3 and 1 + 2w^2 = -i*sqrt3
@@ -64,9 +63,11 @@ class CyclicTriple(CyclicElement):
     __slots__ = ()
     _NOUN = "triples"
     _ORDERS = (3,)
+    _LITERAL = "t{0,1,2}"
+    _ENTRIES = ("component a", "component b", "component c")
 
     def __init__(self, a: object = 0, b: object = 0, c: object = 0) -> None:
-        self._num, self._den = checked_payload((a, b, c), _COMPONENTS)
+        self._num, self._den = checked_payload((a, b, c), self._ENTRIES)
 
     @classmethod
     def from_complex(cls, value: complex) -> "CyclicTriple":
@@ -117,11 +118,3 @@ class CyclicTriple(CyclicElement):
 
     def to_complex(self) -> complex:
         return _complex(*self._num, self._den)
-
-    def __str__(self) -> str:
-        pa, qa, pb, qb, pc, qc = self._num
-        d = self._den
-        return f"t{{{_text(pa, qa, d)},{_text(pb, qb, d)},{_text(pc, qc, d)}}}"
-
-    def __repr__(self) -> str:
-        return "CyclicTriple({}, {}, {})".format(*self.components)

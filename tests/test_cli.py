@@ -2,6 +2,7 @@ import io
 import os
 import select
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -338,6 +339,39 @@ def test_eval_answers_each_stdin_line_before_the_next_arrives():
     finally:
         proc.kill()
         proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+@pytest.mark.parametrize(
+    "command, line, answer",
+    (
+        ("repl", b"", b"sign-free calculator; type an expression, or 'quit' to leave\n"),
+        ("eval", b"1+1\n", b"2\n"),
+    ),
+    ids=("repl", "eval"),
+)
+def test_ctrl_c_ends_with_status_130_and_no_traceback(command, line, answer):
+    # SIGINT once the process waits on its open stdin: at the repl prompt, or between eval lines
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "signfree", command],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        proc.stdin.write(line)
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 20)
+        assert ready, "no output while stdin was open"
+        assert proc.stdout.readline() == answer
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=60) == 130
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdin.close()
         proc.stdout.close()
         proc.stderr.close()
 

@@ -9,13 +9,16 @@ reference below is the printing it replaced: each container joined
 gcd each.  The two must agree byte for byte on raw products, whose parts
 share a denominator and so are not in lowest terms one by one, and on
 parts with a zero, a negative sqrt3 part or a denominator up to 10**30.
+Each printed text must also evaluate back to the same type and raw
+payload, as the printer and the parser read one literal per class.
 """
 
 import math
 import random
+import re
 from fractions import Fraction
 
-from signfree.expressions import format_value
+from signfree.expressions import _SYSTEMS, Kind, eval_text, format_value
 from signfree.matrices import CyclicMatrix
 from signfree.pairs import UnsignedPair
 from signfree.scalars import ExactScalar, _normalised, _text
@@ -98,11 +101,25 @@ def test_printing_matches_reference():
                 expected = _ref_str(value)
                 assert str(value) == expected, repr(value)
                 assert format_value(value) == expected, repr(value)
+                again = eval_text(expected)  # the printed text parses back to the same raw payload
+                assert type(again) is type(value), repr(value)
+                if isinstance(value, ExactScalar):
+                    assert (again._p, again._q, again._d) == (value._p, value._q, value._d), repr(value)
+                else:
+                    assert (again._num, again._den) == (value._num, value._den), repr(value)
                 shown.append(expected)
     # every container and scalar printed, with '-' joiners and long denominators among them
     assert {text[0] for text in shown} >= {"p", "t", "m", "0", "1"}
     assert any("-" in text for text in shown)
     assert any(len(text.partition("/")[2]) > 25 for text in shown)
+
+
+def test_each_literal_is_written_once():
+    # a class's `_LITERAL` marks each part once; the core prints it and the parser reads it
+    for kind, cls in ((Kind.PAIR, UnsignedPair), (Kind.TRIPLE, CyclicTriple), (Kind.MATRIX, CyclicMatrix)):
+        assert "__str__" not in vars(cls)
+        assert sorted(re.findall(r"\d", cls._LITERAL)) == [str(k) for k in range(cls._SIZE // 2)]
+        assert _SYSTEMS[cls._LITERAL[0]] == (kind, cls)
 
 
 def test_text_reduces_each_ratio_on_its_own():

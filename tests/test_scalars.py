@@ -75,6 +75,11 @@ def test_as_scalar_accepts_decimal_strings():
     assert as_scalar("2.1") == ExactScalar(Fraction(21, 10))
     with pytest.raises(TypeError):
         as_scalar(2.1)
+    # the constructor's parts are ints, Fractions and numeric strs too, and it refuses the rest alike
+    assert ExactScalar("2.1", "1/3") == ExactScalar(Fraction(21, 10), Fraction(1, 3))
+    for parts in ((0.5,), (1, 0.5), (Decimal("0.1"),), (float("nan"),)):
+        with pytest.raises(TypeError, match=f"^cannot interpret {type(parts[-1]).__name__} as an exact scalar$"):
+            ExactScalar(*parts)
 
 
 def test_hash_matches_plain_numbers():
