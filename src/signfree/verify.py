@@ -6,22 +6,21 @@ records into its own `CheckResult`: each law reads ``if not (ok):
 rec.fail(fmt, *operands)``, and `fail` counts each failed law and formats
 the detail of the first only, so a passing law builds no detail and no
 closure, and a later failure formats nothing.
-Algebraic laws are asserted with exact arithmetic.
-Pair, triple and matrix samples are drawn straight into payload ints by
-the draws of entry-by-entry `_rand_nonneg` calls, so no `Fraction` is
-built and no `checked_payload` runs: the entries are nonnegative by construction.
-Each sample reads `rng.getrandbits` through one `_below` call, as
-`randrange`, `randint` and `choice` read it (k = n.bit_length() bits,
-again while the value is >= n), so every sample, and the generator's
-state after it, is the one those calls give.  Rotation-zero norms are
-compared as their ints, cross-multiplied, with no scalar built.
+Algebraic laws are asserted with exact arithmetic: the norm axioms, the
+triple -> complex homomorphism and the character oracle on the ints of the
+exact image (`triples._complex_ints`, of each psi for the oracle), and the
+rotation-zero norms on theirs, cross-multiplied, with signs by `_int_sign`.
+Every draw reads `rng.getrandbits` through one `_below` call, as `randrange`,
+`randint` and `choice` read it (k = n.bit_length() bits, again while the
+value is >= n), so each sample and the generator's state after it are the
+ones those calls give; `_normalised` or `_make` builds the value from the
+drawn ints, with no `Fraction` and no `checked_payload` (entries are
+nonnegative by construction).
 No term is computed twice: the 54 rotation zeros are constants, built
 once at import (`_ROTATION_ZEROS`), and each ring-law sample computes
 x*y, x + y and y + z once and reuses them in every law and in closure.
-`TOLERANCE` (1e-9) is for the checks that go through floating point on
-purpose: the triple -> complex homomorphism, norm vs complex modulus,
-the triangle inequality, the complex and triple round trips, sign vs
-float and the character oracle.
+`TOLERANCE` (1e-9) is left for the checks whose subject is a float:
+sign vs float and the complex and triple round trips.
 
 Pairs, triples and matrices are one construction, a group algebra modulo
 constants, so each law they share (the ring laws, a homomorphism, the
@@ -38,17 +37,10 @@ from itertools import product as _iter_product
 from operator import add, eq, methodcaller, mul
 
 from ._record import record
-from .matrices import (
-    CyclicMatrix,
-    RowSelector,
-    _norm_ints,
-    absolute_zero,
-    characters_close,
-    rotation_zero,
-)
+from .matrices import CyclicMatrix, RowSelector, _character_ints, _norm_ints, rotation_zero
 from .pairs import UnsignedPair
-from .scalars import ExactScalar, _int_sign
-from .triples import CyclicTriple
+from .scalars import ExactScalar, _int_sign, _normalised
+from .triples import CyclicTriple, _complex_ints, _norm_sq_ints
 from .units import IMAGINARY_FAMILY, PLUS_FAMILY, UNIT_VALUES
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_checks", "TOLERANCE"]
@@ -77,26 +69,23 @@ def _below(bits: Callable[[int], int], bounds: "tuple[tuple[int, int], ...]") ->
 _DIGIT = ((10, 4),)  # randrange(10), the draw of randint(0, 9)
 _NONNEG = _DIGIT + ((7, 3),)  # then the index of choice(_SMALL_DENOMS)
 _SIGNED = ((199, 8), (99, 7))  # randint(-99, 99) + 99, then randint(1, 99) - 1
+_VARIANT, _SELECTOR, _XI = ((4, 3),), ((27, 5),), ((9, 4),)  # randrange(4), choice(_SELECTORS), randint(1, 9) - 1
 
 
-def _rand_nonneg(rng: random.Random) -> Fraction:
-    n, i = _below(rng.getrandbits, _NONNEG)
-    return Fraction(n, _SMALL_DENOMS[i])
+def _rand_scalar(rng: random.Random) -> ExactScalar:  # randint(-99, 99) / randint(1, 99): rational, then sqrt3 part
+    n, d, m, e = _below(rng.getrandbits, _SIGNED * 2)
+    return _normalised((n - 99) * (e + 1), (m - 99) * (d + 1), (d + 1) * (e + 1))
 
 
-def _rand_signed(rng: random.Random) -> Fraction:
+def _rand_rational(rng: random.Random) -> ExactScalar:
     n, d = _below(rng.getrandbits, _SIGNED)
-    return Fraction(n - 99, d + 1)
-
-
-def _rand_scalar(rng: random.Random) -> ExactScalar:
-    return ExactScalar(_rand_signed(rng), _rand_signed(rng))
+    return _normalised(n - 99, 0, d + 1)
 
 
 def _nonneg_payload(rng: random.Random, parts: int) -> "tuple[list, int]":
-    """The flat ints and denominator of `parts` draws of `_rand_nonneg`, by the
-    same draws in the same order.  Each entry is over the lcm of `_SMALL_DENOMS`;
-    `_make` divides out the gcd, and lowest terms are unique, so the element is the same."""
+    """The flat ints and denominator of `parts` entries, each randint(0, 9) over
+    choice(_SMALL_DENOMS).  Each is over the lcm of `_SMALL_DENOMS`; `_make` divides
+    out the gcd, and lowest terms are unique, so the element is the one they give."""
     drawn = _below(rng.getrandbits, _NONNEG * parts)
     num = [0] * (2 * parts)  # the sqrt3 ints stay zero
     num[::2] = [n * _LCM_OVER_DENOMS[i] for n, i in zip(drawn[::2], drawn[1::2])]
@@ -109,6 +98,17 @@ def _rand_pair(rng: random.Random) -> UnsignedPair:
 
 def _rand_triple(rng: random.Random) -> CyclicTriple:
     return CyclicTriple._make(*_nonneg_payload(rng, 3))
+
+
+def _rand_zero(rng: random.Random, cls: type) -> object:
+    """An element of cls's zero class: one entry per run, repeated through it (a constant triple, an absolute zero)."""
+    num, den = _nonneg_payload(rng, cls._SIZE // cls._RUN)
+    return cls._make([n for p in num[::2] for n in (p, 0) * (cls._RUN // 2)], den)
+
+
+def _rand_rotation_zero(rng: random.Random) -> CyclicMatrix:
+    s, xi = _below(rng.getrandbits, _SELECTOR + _XI)
+    return rotation_zero(RowSelector.all()[s], xi + 1)
 
 
 def _rand_matrix(rng: random.Random) -> CyclicMatrix:
@@ -163,34 +163,75 @@ def _ring_laws(draw: Callable[[random.Random], object], reducible: bool = False)
             if not reducible:
                 continue
             reduced = x.reduce()
-            if not (reduced.reduce().components == reduced.components):
+            again = reduced.reduce()
+            if not (again._num == reduced._num and again._den == reduced._den):
                 rec.fail("reduce idempotence: {}", x)
             if not (reduced.is_reduced and x == reduced):
                 rec.fail("reduce equivalence: {}", x)
-            if not all(part.sign() >= 0 for part in xy.components):
+            if not all(_int_sign(p, q) >= 0 for p, q in zip(xy._num[::2], xy._num[1::2])):
                 rec.fail("closure: {} * {}", x, y)
 
     return check
 
 
 def _homomorphism(
-    draw: Callable[[random.Random], object], image: Callable, same: Callable[..., bool], label: str = ""
+    draw: Callable[[random.Random], object], image: Callable, same: Callable, label: str = "", image_ops=(mul, add)
 ) -> _Check:
     """That `image` carries products and sums of random x, y to products
-    and sums, as told by `same`."""
+    and sums, formed by `image_ops`, as told by `same`."""
 
     def check(n: int, rng: random.Random, rec: CheckResult) -> None:
         for _ in range(n):
             x, y = draw(rng), draw(rng)
-            for op, law in ((mul, "mul"), (add, "add")):
-                if not same(image(op(x, y)), op(image(x), image(y))):
+            for op, image_op, law in zip((mul, add), image_ops, ("mul", "add")):
+                if not same(image(op(x, y)), image_op(image(x), image(y))):
                     rec.fail("{}{} homomorphism: {}, {}", label, law, x, y)
 
     return check
 
 
-def _close(z: complex, w: complex) -> bool:
-    return abs(z - w) <= TOLERANCE
+def _exact_complex(x: CyclicTriple) -> "tuple[int, ...]":
+    """x's complex image: the ints of `_complex_ints`, re then im, over 2*den."""
+    return (*_complex_ints(*x._num), 2 * x._den)
+
+
+def _complex_product(z: tuple, w: tuple) -> "tuple[int, ...]":
+    (a, b, c, f, d), (g, h, k, m, e) = z, w  # re = a + b*sqrt3 and im = c + f*sqrt3 over d, and so on
+    return (
+        a * g + 3 * b * h - c * k - 3 * f * m, a * h + b * g - c * m - f * k,
+        a * k + 3 * b * m + c * g + 3 * f * h, a * m + b * k + c * h + f * g, d * e,
+    )
+
+
+def _complex_sum(z: tuple, w: tuple) -> "tuple[int, ...]":
+    (a, b, c, f, d), (g, h, k, m, e) = z, w
+    return a * e + g * d, b * e + h * d, c * e + k * d, f * e + m * d, d * e
+
+
+def _same_complex(z: tuple, w: tuple) -> bool:
+    (a, b, c, f, d), (g, h, k, m, e) = z, w
+    return a * e == g * d and b * e == h * d and c * e == k * d and f * e == m * d
+
+
+_COMPLEX_OPS = (_complex_product, _complex_sum)  # the image's product and sum
+
+
+def _modulus_holds(x: CyclicTriple) -> bool:
+    """re^2 + im^2 == x.norm_sq(), both sides over d*d*e, read from the exact image and `_norm_sq_ints`."""
+    rp, rq, ip, iq, d = _exact_complex(x)
+    p, q, e = _norm_sq_ints(*x._num, x._den)
+    return (rp * rp + 3 * rq * rq + ip * ip + 3 * iq * iq) * e == p * d * d and 2 * (rp * rq + ip * iq) * e == q * d * d
+
+
+def _triangle_holds(x: CyclicTriple, y: CyclicTriple, x_plus_y: CyclicTriple) -> bool:
+    """|x + y| <= |x| + |y|: with s, a, b the norms of x + y, x, y, s - a - b <= 0 or (s - a - b)^2 <= 4ab."""
+    (sp, sq, sd), (ap, aq, ad), (bp, bq, bd) = (_norm_sq_ints(*t._num, t._den) for t in (x_plus_y, x, y))
+    ap, aq, bp, bq = ap * sd * bd, aq * sd * bd, bp * sd * ad, bq * sd * ad
+    tp, tq = sp * ad * bd - ap - bp, sq * ad * bd - aq - bq
+    if _int_sign(tp, tq) <= 0:
+        return True
+    # (s - a - b)^2 - 4ab, over the square of that denominator
+    return _int_sign(tp * tp + 3 * tq * tq - 4 * (ap * bp + 3 * aq * bq), 2 * (tp * tq - 2 * (ap * bq + aq * bp))) <= 0
 
 
 def _same_components(x: CyclicTriple, y: CyclicTriple) -> bool:
@@ -211,7 +252,7 @@ def _check_scalar_sign_and_reciprocal(n: int, rng: random.Random, rec: CheckResu
 
 def _check_pair_roundtrip(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
-        value = ExactScalar(_rand_signed(rng))
+        value = _rand_rational(rng)
         pair = UnsignedPair.from_signed(value)
         if not pair.is_reduced:
             rec.fail("from_signed reduced: {}", value)
@@ -222,8 +263,7 @@ def _check_pair_roundtrip(n: int, rng: random.Random, rec: CheckResult) -> None:
 def _check_triple_well_defined(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         x, y = _rand_triple(rng), _rand_triple(rng)
-        shift = _rand_nonneg(rng)
-        zero = CyclicTriple(shift, shift, shift)
+        zero = _rand_zero(rng, CyclicTriple)
         if not (x + zero == x):
             rec.fail("constant triples are zeros: {}, {}", x, zero)
         if not ((x + zero) * y == x * y):
@@ -235,9 +275,9 @@ def _check_triple_norms(n: int, rng: random.Random, rec: CheckResult) -> None:
         x, y = _rand_triple(rng), _rand_triple(rng)
         if not ((x * y).norm_sq() == x.norm_sq() * y.norm_sq()):
             rec.fail("norm multiplicativity: {}, {}", x, y)
-        if not (abs(float(x.norm_sq()) - abs(x.to_complex()) ** 2) <= TOLERANCE):
+        if not _modulus_holds(x):
             rec.fail("norm vs complex modulus: {}", x)
-        if not ((x + y).norm() <= x.norm() + y.norm() + TOLERANCE):
+        if not _triangle_holds(x, y, x + y):
             rec.fail("triangle inequality: {}, {}", x, y)
         if not (x.norm_sq().sign() >= 0):
             rec.fail("norm nonnegative: {}", x)
@@ -260,7 +300,7 @@ def _check_triple_complex_roundtrip(n: int, rng: random.Random, rec: CheckResult
 def _check_matrix_well_defined(n: int, rng: random.Random, rec: CheckResult) -> None:
     for _ in range(n):
         x, y = _rand_matrix(rng), _rand_matrix(rng)
-        zero = absolute_zero(_rand_nonneg(rng), _rand_nonneg(rng), _rand_nonneg(rng))
+        zero = _rand_zero(rng, CyclicMatrix)
         if not (x + zero == x):
             rec.fail("absolute zeros are zeros: {}", x)
         if not ((x + zero) * y == x * y):
@@ -311,16 +351,18 @@ def _check_rotation_zeros(n: int, rng: random.Random, rec: CheckResult) -> None:
                 rec.fail("addition preserves norm: {}, {}", m, selector)
 
 
+def _exact_characters(m: CyclicMatrix) -> "tuple[tuple[int, ...], ...]":
+    """psi_0, psi_1 and psi_2 as exact complex images: the ints of `_complex_ints` over 2*den."""
+    chars, two = _character_ints(m._num), (2 * m._den,)
+    return _complex_ints(*chars[:6]) + two, _complex_ints(*chars[6:12]) + two, _complex_ints(*chars[12:]) + two
+
+
 def _character_pattern(matrix: CyclicMatrix) -> "tuple[complex, ...] | None":
-    pattern = []
-    for value in matrix.characters():
-        for target in (1, -1, 1j, -1j):
-            if abs(value - target) <= TOLERANCE:
-                pattern.append(target)
-                break
-        else:
-            return None
-    return tuple(pattern)
+    """The characters as 1, -1, 1j or -1j, each matched exactly; None if one is none of them."""
+    two = 2 * matrix._den
+    targets = {(two, 0, 0, 0, two): 1, (-two, 0, 0, 0, two): -1, (0, 0, two, 0, two): 1j, (0, 0, -two, 0, two): -1j}
+    pattern = tuple(map(targets.get, _exact_characters(matrix)))
+    return None if None in pattern else pattern
 
 
 def _check_character_oracle(n: int, rng: random.Random, rec: CheckResult) -> None:
@@ -330,16 +372,16 @@ def _check_character_oracle(n: int, rng: random.Random, rec: CheckResult) -> Non
             rec.fail("{}-family patterns: {}", label, sorted(map(str, patterns)))
     for _ in range(n):
         x = _rand_matrix(rng)
-        variant = rng.randrange(4)
+        (variant,) = _below(rng.getrandbits, _VARIANT)
         if variant == 0:
             y = _rand_matrix(rng)
         elif variant == 1:
-            y = x + absolute_zero(_rand_nonneg(rng), _rand_nonneg(rng), _rand_nonneg(rng))
+            y = x + _rand_zero(rng, CyclicMatrix)
         elif variant == 2:
             y = x.reduce()
         else:
-            y = x + rotation_zero(rng.choice(RowSelector.all()), Fraction(rng.randint(1, 9)))
-        if not ((x == y) == characters_close(x, y)):
+            y = x + _rand_rotation_zero(rng)
+        if not ((x == y) == all(map(_same_complex, _exact_characters(x), _exact_characters(y)))):
             rec.fail("character equality agreement: {}, {}", x, y)
 
 
@@ -352,7 +394,7 @@ _CHECKS: tuple[tuple[str, _Check, int], ...] = (
     ("pair-roundtrip", _check_pair_roundtrip, 1),
     ("triple-ring-laws", _ring_laws(_rand_triple, reducible=True), 1),
     ("triple-well-defined", _check_triple_well_defined, 1),
-    ("triple-complex-homomorphism", _homomorphism(_rand_triple, methodcaller("to_complex"), _close), 1),
+    ("triple-complex-homomorphism", _homomorphism(_rand_triple, _exact_complex, _same_complex, "", _COMPLEX_OPS), 1),
     ("triple-norms", _check_triple_norms, 1),
     ("triple-complex-roundtrip", _check_triple_complex_roundtrip, 1),
     ("matrix-ring-laws", _ring_laws(_rand_matrix), 2),

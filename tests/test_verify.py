@@ -1,6 +1,9 @@
 import hashlib
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -15,16 +18,29 @@ from signfree import (
     UnsignedPair,
     run_checks,
 )
-from signfree.matrices import RowSelector, rotation_zero
+from signfree import matrices, scalars, triples, verify
+from signfree.matrices import RowSelector, absolute_zero, characters_close, rotation_zero
 from signfree.verify import (
     _ROTATION_ZEROS,
+    _VARIANT,
     CheckResult,
+    _below,
+    _character_pattern,
+    _complex_product,
+    _complex_sum,
+    _exact_characters,
+    _exact_complex,
+    _modulus_holds,
     _rand_digit_matrix,
     _rand_matrix,
-    _rand_nonneg,
     _rand_pair,
-    _rand_signed,
+    _rand_rational,
+    _rand_rotation_zero,
+    _rand_scalar,
     _rand_triple,
+    _rand_zero,
+    _same_complex,
+    _triangle_holds,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -126,10 +142,26 @@ def ref_rand_matrix(rng, entry):
     return CyclicMatrix.from_rows(zip(*columns))
 
 
-# name -> (draw, reference draw)
+def ref_rand_shift(rng):
+    s = ref_rand_nonneg(rng)
+    return CyclicTriple(s, s, s)
+
+
+# name -> (draw, reference draw); "nonneg" and "signed" are the draws of one
+# nonnegative and one signed value, as the constant triple and the scalar they make
 DRAWS = {
-    "nonneg": (_rand_nonneg, ref_rand_nonneg),
-    "signed": (_rand_signed, ref_rand_signed),
+    "nonneg": (lambda rng: _rand_zero(rng, CyclicTriple), ref_rand_shift),
+    "signed": (_rand_rational, lambda rng: ExactScalar(ref_rand_signed(rng))),
+    "scalar": (_rand_scalar, lambda rng: ExactScalar(ref_rand_signed(rng), ref_rand_signed(rng))),
+    "absolute-zero": (
+        lambda rng: _rand_zero(rng, CyclicMatrix),
+        lambda rng: absolute_zero(*(ref_rand_nonneg(rng) for _ in range(3))),
+    ),
+    "oracle-variant": (lambda rng: _below(rng.getrandbits, _VARIANT)[0], lambda rng: rng.randrange(4)),
+    "oracle-rotation-zero": (
+        _rand_rotation_zero,
+        lambda rng: rotation_zero(rng.choice(RowSelector.all()), Fraction(rng.randint(1, 9))),
+    ),
     "pair": (_rand_pair, lambda rng: UnsignedPair(ref_rand_nonneg(rng), ref_rand_nonneg(rng))),
     "triple": (_rand_triple, lambda rng: CyclicTriple(*(ref_rand_nonneg(rng) for _ in range(3)))),
     "matrix": (_rand_matrix, lambda rng: ref_rand_matrix(rng, ref_rand_nonneg)),
@@ -165,7 +197,9 @@ def test_rotation_zero_table_is_the_nested_loop_in_order():
 
 
 def _ints(x):
-    return (x.numerator, x.denominator) if isinstance(x, Fraction) else (x._num, x._den)
+    if isinstance(x, int):
+        return x
+    return (x._p, x._q, x._d) if isinstance(x, ExactScalar) else (x._num, x._den)
 
 
 def _extra_term(cls):
@@ -283,3 +317,195 @@ def test_triple_ring_laws_check_sums(monkeypatch):
     result = {r.name: r for r in run_checks(samples=20, seed=1)}["triple-ring-laws"]
     assert result.failures >= 20  # commutativity, associativity and distributivity can each fail
     assert result.detail.startswith("add commutativity: ")
+
+
+# The norm axioms, the triple -> complex homomorphism and the character oracle
+# through floats, within 1e-9: the reference for the differential tests below.
+
+
+def float_modulus_holds(x):
+    return abs(float(x.norm_sq()) - abs(x.to_complex()) ** 2) <= 1e-9
+
+
+def float_triangle_holds(x, y, x_plus_y):
+    return x_plus_y.norm() <= x.norm() + y.norm() + 1e-9
+
+
+def float_homomorphic(op, x, y):
+    return abs(op(x, y).to_complex() - op(x.to_complex(), y.to_complex())) <= 1e-9
+
+
+def float_character_pattern(matrix):
+    pattern = []
+    for value in matrix.characters():
+        for target in (1, -1, 1j, -1j):
+            if abs(value - target) <= 1e-9:
+                pattern.append(target)
+                break
+        else:
+            return None
+    return tuple(pattern)
+
+
+def exact_homomorphic(op, x, y):
+    image_op = {mul: _complex_product, add: _complex_sum}[op]
+    return _same_complex(_exact_complex(op(x, y)), image_op(_exact_complex(x), _exact_complex(y)))
+
+
+def _assert_triple_verdicts_agree(x, y):
+    assert _modulus_holds(x) == float_modulus_holds(x), x
+    assert _triangle_holds(x, y, x + y) == float_triangle_holds(x, y, x + y), (x, y)
+    # |2(x + y)| <= |x| + |y| fails unless x + y ~ 0: the exact sign of (s - a - b)^2 - 4ab decides
+    assert _triangle_holds(x, y, (x + y) * 2) == float_triangle_holds(x, y, (x + y) * 2), (x, y)
+    for op in (mul, add):
+        assert exact_homomorphic(op, x, y) == float_homomorphic(op, x, y), (op, x, y)
+
+
+def test_exact_triple_laws_agree_with_the_float_laws():
+    """5,000 seeded sample pairs, each verdict exact and by floats within 1e-9."""
+    rng = random.Random("exact-triple-laws")
+    for _ in range(5000):
+        _assert_triple_verdicts_agree(_rand_triple(rng), _rand_triple(rng))
+
+
+def test_exact_triple_laws_hold_at_equality():
+    """y = x and y = 2x: collinear, so |x + y| == |x| + |y| and the triangle is an equality."""
+    rng = random.Random("exact-triple-equality")
+    for _ in range(500):
+        x = _rand_triple(rng)
+        for y in (x, x * 2):
+            _assert_triple_verdicts_agree(x, y)
+            assert _triangle_holds(x, y, x + y)
+
+
+def test_exact_character_pattern_agrees_with_the_float_pattern():
+    """On the 16 units, whose characters are 1, -1, i or -i, and on random matrices, whose are not."""
+    for name, unit in UNIT_VALUES.items():
+        assert _character_pattern(unit) == float_character_pattern(unit) is not None, name
+    rng = random.Random("exact-pattern")
+    for _ in range(500):
+        m = _rand_matrix(rng)
+        assert _character_pattern(m) == float_character_pattern(m), m
+
+
+# the oracle's four ways to pick y for x, and the verdicts x == y each gives
+ORACLE_VARIANTS = (
+    (lambda rng, x: _rand_matrix(rng), {False}),
+    (lambda rng, x: x + _rand_zero(rng, CyclicMatrix), {True}),
+    (lambda rng, x: x.reduce(), {True}),
+    (lambda rng, x: x + _rand_rotation_zero(rng), {False, True}),  # a one-column rotation zero is constant
+)
+
+
+@pytest.mark.parametrize("variant", range(4))
+def test_exact_character_agreement_agrees_with_characters_close(variant):
+    """2,000 seeded oracle pairs of each variant: another draw, an absolute zero
+    added, the reduced form and a rotation zero added."""
+    draw_y, verdicts = ORACLE_VARIANTS[variant]
+    seen = set()
+    rng = random.Random(f"exact-oracle:{variant}")
+    for _ in range(2000):
+        x = _rand_matrix(rng)
+        y = draw_y(rng, x)
+        same = all(map(_same_complex, _exact_characters(x), _exact_characters(y)))
+        assert same == characters_close(x, y) == (x == y), (x, y)
+        seen.add(same)
+    assert seen == verdicts
+
+
+def _install_everywhere(mp, original, mutant):
+    """Bind `mutant` wherever a signfree module bound `original` by name."""
+    for module in (triples, matrices, verify):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                mp.setattr(module, name, mutant)
+
+
+def _norm_sq_ints_with(term):
+    """`triples._norm_sq_ints` with its term ``up * vp`` replaced by `term(up, vp)`."""
+
+    def mutant(pa, qa, pb, qb, pc, qc, den):
+        up, uq, vp, vq = pa - pb, qa - qb, pb - pc, qb - qc
+        return (
+            up * up + vp * vp + term(up, vp) + 3 * (uq * uq + vq * vq + uq * vq),
+            2 * (up * uq + vp * vq) + up * vq + uq * vp,
+            den * den,
+        )
+
+    return mutant
+
+
+def _complex_ints_plus_pc(pa, qa, pb, qb, pc, qc):
+    """`triples._complex_ints` with re's ``- pc`` flipped to ``+ pc``."""
+    return 2 * pa - pb + pc, 2 * qa - qb - qc, 3 * (qb - qc), pb - pc
+
+
+def _character_ints_without_c2(num, character_ints=matrices._character_ints):
+    """`matrices._character_ints` with the column-C term c2 dropped from psi_1's first int."""
+    ints = list(character_ints(num))
+    ints[6] -= num[14]
+    return tuple(ints)
+
+
+# exact law -> (the function the mutant replaces, the mutant, the laws its check reports failed)
+EXACT_LAW_MUTANTS = {
+    "modulus": (
+        triples._norm_sq_ints,
+        _norm_sq_ints_with(lambda u, v: -u * v),
+        {("triple-norms", "norm vs complex modulus")},
+    ),
+    "triangle": (
+        triples._norm_sq_ints,
+        _norm_sq_ints_with(lambda u, v: u * u * v),
+        {("triple-norms", "triangle inequality")},
+    ),
+    "homomorphism": (
+        triples._complex_ints,
+        _complex_ints_plus_pc,
+        {("triple-complex-homomorphism", "mul homomorphism")},
+    ),
+    "oracle": (
+        matrices._character_ints,
+        _character_ints_without_c2,
+        {("character-oracle", "plus-family patterns"), ("character-oracle", "character equality agreement")},
+    ),
+}
+
+
+@pytest.mark.parametrize("law", EXACT_LAW_MUTANTS)
+def test_each_exact_law_fails_under_a_mutant(monkeypatch, law):
+    """Each exact law reports failures when the formula it checks is broken."""
+    original, mutant, expected = EXACT_LAW_MUTANTS[law]
+    failed = set()
+    fail = CheckResult.fail
+
+    def recording(self, fmt, *args):
+        failed.add((self.name, fmt.format(*args).split(": ")[0]))
+        fail(self, fmt, *args)
+
+    with monkeypatch.context() as mp:
+        _install_everywhere(mp, original, mutant)
+        mp.setattr(CheckResult, "fail", recording)
+        run_checks(samples=20, seed=1)
+    assert expected <= failed, failed
+
+
+def test_run_checks_rounds_few_floats_and_builds_no_fraction():
+    """The laws are exact: only sign vs float (one a sample) and the complex and
+    triple round trips (eight a sample) round a value to a float, and no draw builds a Fraction."""
+    codes = {scalars._float.__code__: "float", Fraction.__new__.__code__: "Fraction"}
+    coprime = getattr(Fraction, "_from_coprime_ints", None)  # Python 3.12+
+    if coprime is not None:
+        codes[coprime.__func__.__code__] = "Fraction"
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        run_checks(samples=2, seed=7)
+    finally:
+        sys.setprofile(None)
+    assert calls == {"float": 18}
