@@ -52,7 +52,7 @@ from .matrices import CyclicMatrix
 from .pairs import UnsignedPair
 from .scalars import SQRT3, ExactScalar, _normalised
 from .triples import CyclicTriple
-from .units import UNIT_VALUES, UnitName
+from .units import UNIT_VALUES, UnitName, _unit_power
 
 __all__ = [
     "ExpressionError",
@@ -397,6 +397,8 @@ def evaluate(expr: Expression) -> object:
     if isinstance(expr, BinOp):
         return _fold(expr, evaluate, _binop_value)
     if isinstance(expr, Power):
+        if isinstance(expr.base, UnitRef):
+            return _unit_power(expr.base.unit, expr.exponent)
         return evaluate(expr.base) ** expr.exponent
     if isinstance(expr, Call):
         return getattr(evaluate(expr.arg), _FUNCTIONS[expr.func][0])()

@@ -45,22 +45,37 @@ def _from_str(value: object) -> Fraction:
     return Fraction(value)
 
 
-def power(base: object, exponent: int, one: Callable[[], object]) -> object:
+def power(
+    base: object, exponent: int, one: Callable[[], object], squares: "list | None" = None
+) -> object:
     """``base ** exponent`` for ``exponent >= 0``: the one power loop.
 
     Square-and-multiply with ``bit_length(n) + popcount(n) - 2`` products
     for ``n >= 1``, none by one; `one()` gives the result for ``n == 0``.
+    `squares`, if given, is ``[base, base**2, base**4, ...]``, at least
+    `base` itself: the loop reads base**(2**k) from it and appends each
+    square it has to make, so a later call given the same list makes only
+    the ``popcount(n) - 1`` products that join them.  The squares and
+    products, and their order, are those made without it.  The list is
+    extended in place, so callers that share squares across threads pass
+    each call a copy, as `units._unit_power` does.
     """
     if exponent == 0:
         return one()
+    if squares is None:
+        squares = [base]
     result = None
+    k = 0
     while True:
         if exponent & 1:
             result = base if result is None else result * base
         exponent >>= 1
         if not exponent:
             return result
-        base = base * base
+        k += 1
+        if k == len(squares):
+            squares.append(base * base)
+        base = squares[k]
 
 
 def _int_sign(p: int, q: int) -> int:

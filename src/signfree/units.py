@@ -24,6 +24,16 @@ every call, so it never reads a stale copy.  The ``roots`` report
 their targets by key too, each key computed once.  A unit's `label` (its
 value) is a plain str attribute of the member, and a member hashes by
 identity.
+
+`_unit_power`, by which `eval` raises a unit token to a power, keeps each
+unit's squares U, U^2, U^4, ... in `_SQUARES`, beside `UNIT_VALUES`, so a
+later power of that unit makes only the ``popcount(n) - 1`` products that
+join them; the squares and products are those of a plain ``**``.  An
+entry is read only while its first square *is* the unit's value in
+`UNIT_VALUES`, so a substituted unit starts from none.  It holds
+``bit_length(n)`` matrices for the largest ``n`` asked for, about twice
+the payload of U^n.  It is a tuple replaced whole, never extended in
+place, so concurrent callers each read a whole run of correct squares.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from enum import Enum
 
 from ._record import record
 from .matrices import CyclicMatrix, _from_characters
-from .scalars import ExactScalar
+from .scalars import ExactScalar, power
 
 __all__ = [
     "UnitName",
@@ -103,6 +113,23 @@ _PATTERNS: dict[UnitName, tuple] = dict(
 _UNIT_OF_PATTERN = {pattern: name for name, pattern in _PATTERNS.items()}
 
 UNIT_VALUES: dict[UnitName, CyclicMatrix] = {name: _from_characters(pattern) for name, pattern in _PATTERNS.items()}
+
+
+# unit -> (U, U^2, U^4, ...), the squares `_unit_power` has made
+_SQUARES: dict[UnitName, tuple[CyclicMatrix, ...]] = {}
+
+
+def _unit_power(unit: UnitName, exponent: int) -> CyclicMatrix:
+    """``UNIT_VALUES[unit] ** exponent`` by `power`, from and adding to the
+    unit's kept squares (see the module docstring)."""
+    value = UNIT_VALUES[unit]
+    kept = _SQUARES.get(unit, ())
+    squares = list(kept) if kept and kept[0] is value else [value]
+    known = len(squares)
+    result = power(value, exponent, CyclicMatrix.one, squares)
+    if len(squares) > known:
+        _SQUARES[unit] = tuple(squares)
+    return result
 
 
 def unit_value(unit: "UnitName | str") -> CyclicMatrix:
