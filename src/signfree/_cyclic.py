@@ -38,13 +38,12 @@ gives the printed form.
 
 Nonnegativity is checked once, where values come from outside: every
 constructor and every scale factor passes its entries through
-`checked_payload`, which reads each entry as ``(p, q, d)`` ints (an int,
-Fraction or scalar by its type), tests its sign once and joins the
-entries over one denominator, the only join: a matrix built from columns
-passes it all nine entries, a built triple's by its components, and a
-literal its items in part order.  Sums, products and reductions of
-nonnegative parts stay nonnegative, so results are built unchecked by
-the class's ``_make``.  ``*``, ``**``, ``==``, ``hash`` and `reduce()`
+`checked_payload`, which reads each entry as ``(p, q, d)`` ints, tests
+its sign once and joins the entries over one denominator, the only join:
+a matrix built from columns passes it all nine entries, a built triple's
+by its components, and a literal its items in part order.  Sums, products
+and reductions of nonnegative parts stay nonnegative, so results are
+built unchecked by the class's ``_make``.  ``*``, ``**``, ``==``, ``hash`` and `reduce()`
 are written once, here, and each public class gets its own copy of them
 (and its own generated ``+``), so per-class instrumentation
 (``bench/tracing.py``) can wrap each apart.
@@ -211,21 +210,16 @@ def checked_payload(entries: "Iterable[object]", names: "Iterable[str]") -> "tup
     """The ``(ints, d)`` payload of outside entries, one part each.
 
     An entry is an `ExactScalar`, int, Fraction or numeric str; each must
-    be nonnegative, and its name in `names` says which one is not.  Ints,
-    Fractions and scalars (exact types) are read by type, with no
-    `ExactScalar` built.  Each entry is checked before the next is drawn.
+    be nonnegative, and its name in `names` says which one is not.  A scalar is
+    read by type, any other entry by `ExactScalar._parts`, through `as_scalar`
+    where that reads none.  Each entry is checked before the next is drawn.
     """
     num, dens = [], []
     for value, what in zip(entries, names):
-        kind = type(value)
-        if kind is int:  # reads by type kept: verify-laws p50 x1.03 without them (BENCH_27.json)
-            p, q, d = value, 0, 1
-        elif kind is Fraction:
-            p, q, d = value.numerator, 0, value.denominator
-        elif kind is ExactScalar:
+        if type(value) is ExactScalar:
             p, q, d = value._p, value._q, value._d
-        else:  # bools, int subclasses and strs
-            p, q, d = ExactScalar._parts(as_scalar(value))
+        else:
+            p, q, d = ExactScalar._parts(value) or ExactScalar._parts(as_scalar(value))
         # kept, as is the join below: eval-stream p50 x1.05 without them and three others (BENCH_27.json)
         if (p < 0) if q == 0 else (_int_sign(p, q) < 0):
             raise ValueError(f"{what} must be nonnegative, got {_normalised(p, q, d)}")

@@ -131,9 +131,6 @@ class Call(Expression):
     arg: Expression
 
 
-_VALUE_KINDS = (Kind.SCALAR, Kind.PAIR, Kind.TRIPLE, Kind.MATRIX)
-_BROADCAST_KINDS = (Kind.PAIR, Kind.TRIPLE, Kind.MATRIX)
-
 # name -> (method name, {argument kind: result kind})
 _FUNCTIONS: dict[str, tuple[str, dict[Kind, Kind]]] = {
     "reduce": ("reduce", {Kind.PAIR: Kind.PAIR, Kind.TRIPLE: Kind.TRIPLE, Kind.MATRIX: Kind.MATRIX}),
@@ -150,6 +147,8 @@ _SYSTEMS = {
     cls._LITERAL[0]: (kind, cls)
     for kind, cls in ((Kind.PAIR, UnsignedPair), (Kind.TRIPLE, CyclicTriple), (Kind.MATRIX, CyclicMatrix))
 }
+_BROADCAST_KINDS = tuple(kind for kind, _ in _SYSTEMS.values())  # the kinds a scalar scales
+_VALUE_KINDS = (Kind.SCALAR, *_BROADCAST_KINDS)
 
 _UNIT_TOKENS = {member.name: member for member in UnitName}
 

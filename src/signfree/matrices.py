@@ -22,9 +22,9 @@ Two families of additive zeros exist:
 ``characters()`` gives three complex fingerprints that are additive and
 multiplicative modulo absolute zeros and separate equivalence classes;
 they serve as an independent cross-check on the exact arithmetic.  Each
-is one rounding of exact ints from ``_character_ints``, whose first six
-are ``row_sums``; ``_from_characters`` reads that transform backwards for
-the sixteen units, whose characters are 1, -1, i or -i.
+is one rounding of the exact image `verify` compares, ``_character_images``
+of the ints of ``_character_ints``, whose first six are ``row_sums``;
+``_from_characters`` reads that transform backwards for the units.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from itertools import product as _iter_product
 from ._cyclic import CyclicElement, checked_payload
 from ._record import record
 from .scalars import ExactScalar, _int_sign, _normalised, as_scalar
-from .triples import _CHARACTER_INTS, CyclicTriple, _complex, _norm_sq_ints, _root
+from .triples import _CHARACTER_INTS, CyclicTriple, _complex, _image, _norm_sq_ints, _root
 
 __all__ = [
     "CyclicMatrix",
@@ -94,6 +94,12 @@ def _character_ints(num: tuple) -> "tuple[int, ...]":
         a0 + b4 + c2, a1 + b5 + c3, a2 + b0 + c4, a3 + b1 + c5, a4 + b2 + c0, a5 + b3 + c1,
         a0 + b2 + c4, a1 + b3 + c5, a2 + b4 + c0, a3 + b5 + c1, a4 + b0 + c2, a5 + b1 + c3,
     )
+
+
+def _character_images(m: "CyclicMatrix") -> "tuple[tuple[int, ...], ...]":
+    """psi_0, psi_1 and psi_2 of `m` as exact complex images, each the `_image` of its six ints."""
+    chars, den = _character_ints(m._num), m._den
+    return _image(*chars[:6], den), _image(*chars[6:12], den), _image(*chars[12:], den)
 
 
 def _norm_ints(m: "CyclicMatrix") -> "tuple[int, int, int]":
@@ -170,8 +176,7 @@ class CyclicMatrix(CyclicElement):
 
     def characters(self) -> tuple[complex, complex, complex]:
         """Three complex fingerprints, constant on equivalence classes, each rounded once."""
-        chars, den = _character_ints(self._num), self._den
-        return _complex(*chars[:6], den), _complex(*chars[6:12], den), _complex(*chars[12:], den)
+        return tuple(map(_complex, _character_images(self)))
 
     def __repr__(self) -> str:
         return "CyclicMatrix({!r}, {!r}, {!r})".format(*self.columns)

@@ -7,7 +7,7 @@ gives the third, and so on around).  Adding a constant vector
 Under that quotient it is the complex plane: ``(a, b, c)`` stands for
 ``a + b*w + c*w**2``, ``w = exp(2*pi*i/3)``.  Arithmetic, printing and
 the literal's reading are the shared cyclic core on Q(sqrt 3)[C3].
-`to_complex`, `characters()` and `verify` share `_complex_ints`, the exact image.
+`to_complex`, `characters()` and `verify` share `_image`, the exact complex image.
 """
 
 from __future__ import annotations
@@ -52,16 +52,16 @@ def _root(p: int, q: int, d: int) -> float:
     return math.ldexp(math.sqrt(math.ldexp(f, e & 1)), e >> 1)
 
 
-def _complex_ints(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int) -> "tuple[int, int, int, int]":
-    """a + b*w + c*w^2 of the parts ``(p + q*sqrt3) / den`` as ``(rp, rq, ip, iq)``: re is
+def _image(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int, den: int) -> "tuple[int, ...]":
+    """a + b*w + c*w^2 of the parts ``(p + q*sqrt3) / den`` as ``(rp, rq, ip, iq, 2*den)``: re is
     ``(rp + rq*sqrt3) / (2*den)``, a - (b + c)/2, and im ``(ip + iq*sqrt3) / (2*den)``, (b - c)*sqrt3/2."""
-    return 2 * pa - pb - pc, 2 * qa - qb - qc, 3 * (qb - qc), pb - pc
+    return 2 * pa - pb - pc, 2 * qa - qb - qc, 3 * (qb - qc), pb - pc, 2 * den
 
 
-def _complex(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int, den: int) -> complex:
-    """a + b*w + c*w^2 of the parts ``(p + q*sqrt3) / den``: re and im of `_complex_ints`, each rounded once."""
-    rp, rq, ip, iq = _complex_ints(pa, qa, pb, qb, pc, qc)
-    return complex(_float(rp, rq, 2 * den), _float(ip, iq, 2 * den))
+def _complex(image: "tuple[int, ...]") -> complex:
+    """An `_image` as a complex: re and im, each rounded once."""
+    rp, rq, ip, iq, d = image
+    return complex(_float(rp, rq, d), _float(ip, iq, d))
 
 
 class CyclicTriple(CyclicElement):
@@ -124,4 +124,4 @@ class CyclicTriple(CyclicElement):
         return self._make((pa, qa, pc, qc, pb, qb), self._den)
 
     def to_complex(self) -> complex:
-        return _complex(*self._num, self._den)
+        return _complex(_image(*self._num, self._den))

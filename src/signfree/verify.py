@@ -8,8 +8,8 @@ the detail of the first only, so a passing law builds no detail and no
 closure, and a later failure formats nothing.
 Algebraic laws are asserted with exact arithmetic: the norm axioms, the
 triple -> complex homomorphism and the character oracle on the ints of the
-exact image (`triples._complex_ints`, of each psi for the oracle), and the
-rotation-zero norms on theirs, cross-multiplied, with signs by `_int_sign`.
+exact image (`triples._image`, of each psi by `matrices._character_images`),
+and the rotation-zero norms on theirs, cross-multiplied, with signs by `_int_sign`.
 Every draw reads `rng.getrandbits` through one `_below` call, as `randrange`,
 `randint` and `choice` read it (k = n.bit_length() bits, again while the
 value is >= n), so each sample and the generator's state after it are the
@@ -37,10 +37,10 @@ from itertools import product as _iter_product
 from operator import add, eq, methodcaller, mul
 
 from ._record import record
-from .matrices import CyclicMatrix, RowSelector, _character_ints, _norm_ints, rotation_zero
+from .matrices import CyclicMatrix, RowSelector, _character_images, _norm_ints, rotation_zero
 from .pairs import UnsignedPair
 from .scalars import ExactScalar, _int_sign, _normalised
-from .triples import CyclicTriple, _complex_ints, _norm_sq_ints
+from .triples import CyclicTriple, _image, _norm_sq_ints
 from .units import IMAGINARY_FAMILY, PLUS_FAMILY, UNIT_VALUES
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_checks", "TOLERANCE"]
@@ -142,6 +142,11 @@ class CheckResult:
             self.detail = fmt.format(*args)
 
 
+def _same_payload(x: object, y: object) -> bool:
+    """x and y, each in lowest terms, equal part by part: lowest terms are unique, so their payloads are equal."""
+    return x._num == y._num and x._den == y._den
+
+
 def _ring_laws(draw: Callable[[random.Random], object], reducible: bool = False) -> _Check:
     """The commutative ring laws on random x, y, z; a `reducible` system
     (pairs and triples) is also checked for `reduce()` and closure."""
@@ -164,7 +169,7 @@ def _ring_laws(draw: Callable[[random.Random], object], reducible: bool = False)
                 continue
             reduced = x.reduce()
             again = reduced.reduce()
-            if not (again._num == reduced._num and again._den == reduced._den):
+            if not _same_payload(again, reduced):
                 rec.fail("reduce idempotence: {}", x)
             if not (reduced.is_reduced and x == reduced):
                 rec.fail("reduce equivalence: {}", x)
@@ -191,8 +196,8 @@ def _homomorphism(
 
 
 def _exact_complex(x: CyclicTriple) -> "tuple[int, ...]":
-    """x's complex image: the ints of `_complex_ints`, re then im, over 2*den."""
-    return (*_complex_ints(*x._num), 2 * x._den)
+    """x's complex image, `_image` of its payload."""
+    return _image(*x._num, x._den)
 
 
 def _complex_product(z: tuple, w: tuple) -> "tuple[int, ...]":
@@ -232,10 +237,6 @@ def _triangle_holds(x: CyclicTriple, y: CyclicTriple, x_plus_y: CyclicTriple) ->
         return True
     # (s - a - b)^2 - 4ab, over the square of that denominator
     return _int_sign(tp * tp + 3 * tq * tq - 4 * (ap * bp + 3 * aq * bq), 2 * (tp * tq - 2 * (ap * bq + aq * bp))) <= 0
-
-
-def _same_components(x: CyclicTriple, y: CyclicTriple) -> bool:
-    return x.components == y.components  # exact componentwise, no quotient needed
 
 
 def _check_scalar_sign_and_reciprocal(n: int, rng: random.Random, rec: CheckResult) -> None:
@@ -351,17 +352,12 @@ def _check_rotation_zeros(n: int, rng: random.Random, rec: CheckResult) -> None:
                 rec.fail("addition preserves norm: {}, {}", m, selector)
 
 
-def _exact_characters(m: CyclicMatrix) -> "tuple[tuple[int, ...], ...]":
-    """psi_0, psi_1 and psi_2 as exact complex images: the ints of `_complex_ints` over 2*den."""
-    chars, two = _character_ints(m._num), (2 * m._den,)
-    return _complex_ints(*chars[:6]) + two, _complex_ints(*chars[6:12]) + two, _complex_ints(*chars[12:]) + two
-
-
 def _character_pattern(matrix: CyclicMatrix) -> "tuple[complex, ...] | None":
     """The characters as 1, -1, 1j or -1j, each matched exactly; None if one is none of them."""
-    two = 2 * matrix._den
-    targets = {(two, 0, 0, 0, two): 1, (-two, 0, 0, 0, two): -1, (0, 0, two, 0, two): 1j, (0, 0, -two, 0, two): -1j}
-    pattern = tuple(map(targets.get, _exact_characters(matrix)))
+    images = _character_images(matrix)
+    d = images[0][4]  # each image is over 2*den
+    targets = {(d, 0, 0, 0, d): 1, (-d, 0, 0, 0, d): -1, (0, 0, d, 0, d): 1j, (0, 0, -d, 0, d): -1j}
+    pattern = tuple(map(targets.get, images))
     return None if None in pattern else pattern
 
 
@@ -381,7 +377,7 @@ def _check_character_oracle(n: int, rng: random.Random, rec: CheckResult) -> Non
             y = x.reduce()
         else:
             y = x + _rand_rotation_zero(rng)
-        if not ((x == y) == all(map(_same_complex, _exact_characters(x), _exact_characters(y)))):
+        if not ((x == y) == all(map(_same_complex, _character_images(x), _character_images(y)))):
             rec.fail("character equality agreement: {}, {}", x, y)
 
 
@@ -401,7 +397,7 @@ _CHECKS: tuple[tuple[str, _Check, int], ...] = (
     ("matrix-well-defined", _check_matrix_well_defined, 2),
     (
         "matrix-rowsums-homomorphism",
-        _homomorphism(_rand_matrix, methodcaller("row_sums"), _same_components, "row-sums "),
+        _homomorphism(_rand_matrix, methodcaller("row_sums"), _same_payload, "row-sums "),
         2,
     ),
     ("matrix-norms", _check_matrix_norms, 2),

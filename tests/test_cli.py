@@ -1,3 +1,4 @@
+import ast
 import io
 import os
 import select
@@ -148,6 +149,37 @@ def test_readme_eval_examples(monkeypatch, capsys):
             words = words[words.index("signfree") :]
         assert main(words[1:]) == 0, command
         assert capsys.readouterr().out == expected + "\n", command
+
+
+def _readme_python_examples():
+    """(code, printed value, shown value) for each statement of the README's Python API
+    block that ends in ``# <value>``: `str` of the expression, or of the name it assigns,
+    against the comment's first word with a trailing comma dropped."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    examples = []
+    for node in ast.parse(block).body:
+        code = ast.get_source_segment(block, node)
+        if isinstance(node, ast.Expr):
+            value = eval(code, namespace)
+        else:
+            exec(code, namespace)
+            value = namespace[node.targets[0].id] if isinstance(node, ast.Assign) else None
+        comment = lines[node.end_lineno - 1][node.end_col_offset :].strip()
+        if comment.startswith("# "):
+            examples.append((code, str(value), comment[2:].split()[0].removesuffix(",")))
+    return examples
+
+
+def test_readme_python_api_examples():
+    examples = _readme_python_examples()
+    assert [shown for _, _, shown in examples] == [
+        "p{18,22}", "p{0,4}", "-4", "t{0,1,1}", "1j", "m{[7,0,5];[0,2,7];[7,7,0]}", "1", "True", "0.0",
+    ]
+    for code, printed, shown in examples:
+        assert printed == shown, code
 
 
 def test_parser_description_lists_every_unit():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signfree import (
+    SQRT3,
     UNIT_VALUES,
     CyclicMatrix,
     CyclicTriple,
@@ -18,6 +19,7 @@ from signfree import (
     find_square_roots,
     rotation_zero,
 )
+from signfree.expressions import eval_text, format_value
 from signfree.matrices import _character_ints
 
 M1 = CyclicMatrix.from_rows([[0, 3, 2], [2, 2, 0], [1, 0, 3]])
@@ -264,6 +266,37 @@ def test_character_transform_read_backwards_is_three_times_the_matrix():
         zero = [sum(sums[s][k % 2] for s in range(3) if s != k // 6) for k in range(18)]
         assert back == tuple(3 * n + z for n, z in zip(num, zero)), num
         assert CyclicMatrix._make(back, 3) == CyclicMatrix._make(num, 1), num
+
+
+def test_no_multiplicative_norm_on_matrices_is_definite():
+    """The paper's norm claim: the triple norm is definite, but two nonzero matrix
+    classes multiply to the zero class, so N(x)N(y) = N(0) = 0 puts one of them at
+    norm 0.  Here the rotation zero of the diagonal is the one."""
+    x, y = "m{[1,1,1];[0,0,0];[0,0,0]}", "m{[1,0,0];[0,1,0];[0,0,1]}"
+    product = eval_text(f"{x}*{y}")
+    assert str(product.reduce()) == "m{[0,0,0];[0,0,0];[0,0,0]}"
+    assert product == CyclicMatrix.zero()
+    assert eval_text(x) != CyclicMatrix.zero() and eval_text(y) != CyclicMatrix.zero()
+    assert [format_value(eval_text(f"normsq({m})")) for m in (x, y)] == ["9", "0"]
+    assert [format_value(eval_text(f"chars({m})")) for m in (x, y)] == [
+        "(3+0*i, 0+0*i, 0+0*i)",
+        "(0+0*i, 0+0*i, 3+0*i)",
+    ]
+
+
+def test_triple_norm_is_definite():
+    """norm_sq() == 0 exactly when a == b == c, on 500 seeded nonnegative triples and
+    their constant shifts; entries are drawn from a few values, so ties are common."""
+    values = (0, 1, 2, Fraction(1, 2), SQRT3, 1 + SQRT3, 2 - SQRT3)
+    rng = random.Random("definite triple norm")
+    seen = set()
+    for _ in range(500):
+        a, b, c, k = (rng.choice(values) for _ in range(4))
+        for t in (CyclicTriple(a, b, c), CyclicTriple(a, b, c) + CyclicTriple(k, k, k)):
+            zero = t.norm_sq() == 0
+            assert zero == (a == b == c), (a, b, c, k)
+            seen.add(zero)
+    assert seen == {False, True}
 
 
 def test_identity_matrix():

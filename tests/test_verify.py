@@ -19,7 +19,7 @@ from signfree import (
     run_checks,
 )
 from signfree import matrices, scalars, triples, verify
-from signfree.matrices import RowSelector, absolute_zero, characters_close, rotation_zero
+from signfree.matrices import RowSelector, _character_images, absolute_zero, characters_close, rotation_zero
 from signfree.verify import (
     _ROTATION_ZEROS,
     _VARIANT,
@@ -28,7 +28,6 @@ from signfree.verify import (
     _character_pattern,
     _complex_product,
     _complex_sum,
-    _exact_characters,
     _exact_complex,
     _modulus_holds,
     _rand_digit_matrix,
@@ -407,7 +406,7 @@ def test_exact_character_agreement_agrees_with_characters_close(variant):
     for _ in range(2000):
         x = _rand_matrix(rng)
         y = draw_y(rng, x)
-        same = all(map(_same_complex, _exact_characters(x), _exact_characters(y)))
+        same = all(map(_same_complex, _character_images(x), _character_images(y)))
         assert same == characters_close(x, y) == (x == y), (x, y)
         seen.add(same)
     assert seen == verdicts
@@ -435,9 +434,9 @@ def _norm_sq_ints_with(term):
     return mutant
 
 
-def _complex_ints_plus_pc(pa, qa, pb, qb, pc, qc):
-    """`triples._complex_ints` with re's ``- pc`` flipped to ``+ pc``."""
-    return 2 * pa - pb + pc, 2 * qa - qb - qc, 3 * (qb - qc), pb - pc
+def _image_plus_pc(pa, qa, pb, qb, pc, qc, den):
+    """`triples._image` with re's ``- pc`` flipped to ``+ pc``."""
+    return 2 * pa - pb + pc, 2 * qa - qb - qc, 3 * (qb - qc), pb - pc, 2 * den
 
 
 def _character_ints_without_c2(num, character_ints=matrices._character_ints):
@@ -460,8 +459,8 @@ EXACT_LAW_MUTANTS = {
         {("triple-norms", "triangle inequality")},
     ),
     "homomorphism": (
-        triples._complex_ints,
-        _complex_ints_plus_pc,
+        triples._image,
+        _image_plus_pc,
         {("triple-complex-homomorphism", "mul homomorphism")},
     ),
     "oracle": (
