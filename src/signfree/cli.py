@@ -11,10 +11,16 @@ Subcommands:
   square roots of +1 and -1 among the sixteen named units.
 
 ``--machine`` switches reports to tab-separated records, one per item,
-each formatted by `_record`.  The ``tables``, ``verify`` and ``roots``
+each formatted by `_record`, or for ``tables`` a fixed opening, the
+cell's value and its mark.  The ``tables``, ``verify`` and ``roots``
 reports collect their lines and write them with one `write` call.
 ``tables`` and ``roots`` compare matrix classes by their equality keys
-(`_key`), with no `==`, each key computed once.
+(`_key`), with no `==`, each key computed once.  The ``tables`` text
+that no computed cell changes (each grid's name, header and rule lines,
+each row's opening, each unit's grid entry and each cell's ``--machine``
+record up to its value) is built once at import, in `_TABLE_TEXT` and
+`_GRID_ENTRY`, so a report adds only what its cells computed, in one
+walk over them.
 """
 
 from __future__ import annotations
@@ -97,45 +103,73 @@ def _write(lines: "list[str]") -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _grid_lines(report: units.TableReport) -> list[str]:
-    table = units.TABLES[report.table]
-    width = 3
-    lines = [report.table]
-    header = "  x |" + "".join(f"{unit.label:>{width + 1}}" for unit in table.col_units)
-    lines.append(header)
-    lines.append("-" * len(header))
-    columns = len(table.col_units)
-    for start, row in zip(range(0, len(report.cells), columns), table.row_units):
+# each unit's grid entry, and "  ?" for an unnamed product
+_GRID_ENTRY = {None: "  ?", **{unit: f"{unit.label:>3}" for unit in UnitName}}
+
+
+def _fixed_text(table: units.Table) -> "tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]":
+    """A table's name, header and rule lines, each row's opening, and each
+    cell's --machine record up to its value, in cell order."""
+    header = "  x |" + "".join(f"{unit.label:>4}" for unit in table.col_units)
+    head = (table.name, header, "-" * len(header))
+    openings = tuple(f"{row.label:>3} | " for row in table.row_units)
+    records = tuple(
+        f"{table.name}\t{row.label}\t{col.label}\t{expected.label}\t"
+        for row, expected_row in zip(table.row_units, table.cells)
+        for col, expected in zip(table.col_units, expected_row)
+    )
+    return head, openings, records
+
+
+_TABLE_TEXT = {which: _fixed_text(table) for which, table in units.TABLES.items()}
+
+
+def _grid_lines(report: units.TableReport, lines: "list[str]") -> int:
+    """Append a table's grid, its FAIL lines and its count line to `lines`,
+    walking the cells once; return the number of cells that pass."""
+    head, openings, _ = _TABLE_TEXT[report.table]
+    lines += head
+    cells = report.cells
+    columns = len(cells) // len(openings)
+    failures = []
+    for start, opening in zip(range(0, len(cells), columns), openings):
         shown = []
-        for cell in report.cells[start : start + columns]:
-            label = cell.computed_name.label if cell.computed_name else "?"
-            shown.append(f"{label:>{width}}" + ("" if cell.passed else "!"))
-        lines.append(f"{row.label:>3} | " + " ".join(shown))
-    for cell in report.failures:
-        lines.append(
-            f"FAIL [{cell.row.label} x {cell.col.label}]: expected {cell.expected.label},"
-            f" computed {cell.computed.reduce()}"
-        )
-    lines.append(f"{report.table}: {report.n_passed}/{len(report.cells)} cells pass")
-    return lines
+        for cell in cells[start : start + columns]:
+            entry = _GRID_ENTRY[cell.computed_name]
+            if not cell.passed:
+                entry += "!"
+                failures.append(cell)
+            shown.append(entry)
+        lines.append(opening + " ".join(shown))
+    for row, col, expected, computed, _, _ in failures:
+        lines.append(f"FAIL [{row.label} x {col.label}]: expected {expected.label}, computed {computed.reduce()}")
+    n_passed = len(cells) - len(failures)
+    lines.append(f"{report.table}: {n_passed}/{len(cells)} cells pass")
+    return n_passed
 
 
 def run_tables(
     machine: bool = False,
     unit_values: "Mapping[UnitName, CyclicMatrix] | None" = None,
 ) -> int:
+    """Print the three tables' reports and return 0 when every cell passes.
+
+    `unit_values` substitutes the constants as in `units.verify_unit_table`,
+    which rejects a malformed map with an exception before anything is
+    printed; a wrong matrix only fails its cells."""
     lines: list[str] = []
     total = passed = 0
     for which in TABLE_IDS:
         report = units.verify_unit_table(which, unit_values)
         total += len(report.cells)
-        passed += report.n_passed
         if machine:
-            for row, col, expected, computed, name, good in report.cells:
+            records = _TABLE_TEXT[which][2]
+            for record, (_, _, _, computed, name, good) in zip(records, report.cells):
                 shown = name.label if name else str(computed.reduce())
-                lines.append(_record(which, row.label, col.label, expected.label, shown, passed=good))
+                lines.append(record + shown + ("\tpass" if good else "\tfail"))
+                passed += good
         else:
-            lines += _grid_lines(report)
+            passed += _grid_lines(report, lines)
             lines.append("")
     if not machine:
         lines.append(f"all tables: {passed}/{total} cells pass")

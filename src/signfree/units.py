@@ -19,7 +19,11 @@ read once per table, each product and its key once per cell, and a
 product is named by looking its key up in a key -> unit map in which
 the first listed unit wins (two units may be equal in a substituted
 set).  :func:`match_unit` builds that map from the units it is given on
-every call, so it never reads a stale copy.  The ``roots`` report
+every call, so it never reads a stale copy.  Each cell is one
+`CellCheck`, built in C by ``tuple.__new__``.  A substituted unit map
+must give each of the sixteen units a `CyclicMatrix`; any other map is
+refused at entry with one error that names the unit, and a wrong matrix
+fails only its cells.  The ``roots`` report
 (:func:`signfree.cli.run_roots`) compares the squares of the roots with
 their targets by key too, each key computed once.  A unit's `label` (its
 value) is a plain str attribute of the member, and a member hashes by
@@ -218,18 +222,39 @@ class TableReport:
         return [cell for cell in self.cells if not cell.passed]
 
 
+def _checked_units(units: "Mapping[UnitName, CyclicMatrix]") -> "Mapping[UnitName, CyclicMatrix]":
+    """`units`, once it is seen to map each of the sixteen units, and nothing
+    else, to a `CyclicMatrix`; else an error that names the unit at fault."""
+    for unit in UnitName:
+        if unit not in units:
+            raise ValueError(f"unit map has no value for unit {unit.label} ({unit.name})")
+        if not isinstance(units[unit], CyclicMatrix):
+            raise TypeError(
+                f"unit map value for unit {unit.label} ({unit.name}) has type {type(units[unit]).__name__},"
+                " not CyclicMatrix"
+            )
+    if len(units) != len(UnitName):
+        extra = next(key for key in units if not isinstance(key, UnitName))
+        raise ValueError(f"unit map has a key {extra!r} that is not a unit")
+    return units
+
+
 def verify_unit_table(
     which: str, units: "Mapping[UnitName, CyclicMatrix] | None" = None
 ) -> TableReport:
     """Recompute every cell of a table and compare classes exactly.
 
     `units` lets callers substitute a different (for example corrupted)
-    set of constants; failures land in the report, never in exceptions.
+    set of constants; a wrong value, whatever matrix it is, lands in the
+    report, never in an exception.  A map that is not one `CyclicMatrix`
+    for each of the sixteen units is rejected before any product, with a
+    `ValueError` (a unit missing, a key that is not a unit) or a
+    `TypeError` (a value that is not a `CyclicMatrix`) naming the unit.
     """
     if which not in TABLES:
         raise ValueError(f"unknown table {which!r}; expected one of {TABLE_IDS}")
     table = TABLES[which]
-    values = UNIT_VALUES if units is None else units
+    values = UNIT_VALUES if units is None else _checked_units(units)
     keys, names = _unit_keys(values)
     columns = [(col, values[col]) for col in table.col_units]  # each unit's value read once
     cells: list[CellCheck] = []
@@ -238,7 +263,8 @@ def verify_unit_table(
         for (col, y), expected in zip(columns, expected_row):
             computed = x * y
             key = computed._key()
-            cells.append(CellCheck(row, col, expected, computed, names.get(key), key == keys[expected]))
+            cell = (row, col, expected, computed, names.get(key), key == keys[expected])
+            cells.append(tuple.__new__(CellCheck, cell))  # made in C: CellCheck's __new__ only repacks it
     return TableReport(which, cells)
 
 

@@ -30,6 +30,7 @@ from signfree import (
     verify_unit_table,
 )
 from signfree.cli import build_parser, run_tables
+from signfree.units import CellCheck
 
 from unit_reference import TABLE_CELLS, UNIT_DEFS
 
@@ -128,6 +129,36 @@ def test_corrupted_units_are_reported_not_raised():
     report = verify_unit_table("plus-one-table", corrupted)
     assert not report.passed
     assert any(cell.row is UnitName.J or cell.col is UnitName.J for cell in report.failures)
+
+
+def malformed_unit_maps():
+    """(map, exception, message): a unit missing, a unit given a triple or an
+    int, and a key that is not a unit; each error names the unit at fault."""
+    missing = dict(UNIT_VALUES)
+    del missing[UnitName.NK]
+    yield missing, ValueError, "unit map has no value for unit -K (NK)"
+    triple = dict(UNIT_VALUES)
+    triple[UnitName.JJ] = CyclicTriple.one()
+    yield triple, TypeError, "unit map value for unit j (JJ) has type CyclicTriple, not CyclicMatrix"
+    number = dict(UNIT_VALUES)
+    number[UnitName.ONE] = 1
+    yield number, TypeError, "unit map value for unit 1 (ONE) has type int, not CyclicMatrix"
+    extra = dict(UNIT_VALUES)
+    extra["J"] = UNIT_VALUES[UnitName.J]
+    yield extra, ValueError, "unit map has a key 'J' that is not a unit"
+
+
+@pytest.mark.parametrize("units, error, message", malformed_unit_maps(), ids=("missing", "triple", "int", "extra"))
+def test_malformed_unit_maps_raise_one_named_error(capsys, units, error, message):
+    for which in TABLE_IDS:
+        with pytest.raises(error) as raised:
+            verify_unit_table(which, units)
+        assert str(raised.value) == message
+    for machine in (False, True):
+        with pytest.raises(error) as raised:
+            run_tables(machine=machine, unit_values=units)
+        assert str(raised.value) == message
+        assert capsys.readouterr().out == ""  # raised before any line is written
 
 
 def test_unknown_table_rejected():
@@ -249,6 +280,9 @@ def ref_machine_lines(units):
     return "".join(lines)
 
 
+CELL_FIELDS = ("row", "col", "expected", "computed", "computed_name", "passed")
+
+
 def unit_maps():
     """(label, unit map): the stored units, seeded two-unit swaps, two equal
     units, maps with a non-unit value and units in non-reduced form."""
@@ -281,13 +315,43 @@ def unit_maps():
     yield "non-reduced, mixed", units
 
 
+def ref_text_lines(units):
+    """The `tables` text report, from the reference cells: each grid with its
+    `?` cells and `!` marks, its FAIL lines and its count line, then the total."""
+    lines = []
+    total = passed = 0
+    for which in TABLE_IDS:
+        table = TABLES[which]
+        cells = list(ref_cells(which, units))
+        header = "  x |" + "".join(f"{unit.label:>4}" for unit in table.col_units)
+        lines += [which, header, "-" * len(header)]
+        columns = len(table.col_units)
+        for i, row in enumerate(table.row_units):
+            shown = []
+            for *_, good, name in cells[i * columns : (i + 1) * columns]:
+                label = name.label if name else "?"
+                shown.append(f"{label:>3}" + ("" if good else "!"))
+            lines.append(f"{row.label:>3} | " + " ".join(shown))
+        failures = [cell for cell in cells if not cell[4]]
+        for row, col, expected, computed, _, _ in failures:
+            lines.append(f"FAIL [{row.label} x {col.label}]: expected {expected.label}, computed {computed.reduce()}")
+        n_passed = len(cells) - len(failures)
+        lines += [f"{which}: {n_passed}/{len(cells)} cells pass", ""]
+        total += len(cells)
+        passed += n_passed
+    lines.append(f"all tables: {passed}/{total} cells pass")
+    return "".join(line + "\n" for line in lines)
+
+
 def test_unit_lookup_matches_linear_scan(capsys):
+    texts = []
     for label, units in unit_maps():
         all_passed = True
         for which in TABLE_IDS:
             report = verify_unit_table(which, units)
             for cell, (row, col, expected, computed, passed, name) in zip(report.cells, ref_cells(which, units)):
                 where = (label, which, row.label, col.label)
+                assert type(cell) is CellCheck and cell._fields == CELL_FIELDS, where
                 assert (cell.row, cell.col, cell.expected) == (row, col, expected), where
                 assert (cell.computed._num, cell.computed._den) == (computed._num, computed._den), where
                 assert cell.passed is passed, where
@@ -297,3 +361,15 @@ def test_unit_lookup_matches_linear_scan(capsys):
                 all_passed = all_passed and passed
         assert run_tables(machine=True, unit_values=units) == (0 if all_passed else 1), label
         assert capsys.readouterr().out == ref_machine_lines(units), label
+        assert run_tables(unit_values=units) == (0 if all_passed else 1), label
+        text = capsys.readouterr().out
+        assert text == ref_text_lines(units), label
+        texts.append(text)
+    # the maps reach every part of the text report: unnamed products, failing
+    # cells, FAIL lines with a reduced product, a unit named twice, and both totals
+    joined = "".join(texts)
+    assert "  ?" in joined and "!" in joined and "computed m{" in joined
+    # J's value is K's, so 1 x K is named J, the first listed
+    assert "\n  1 |   1  -1   J  -J   J  -K   L  -L\n" in texts[list(dict(unit_maps())).index("J as K")]
+    totals = {text.rsplit("\n", 2)[-2] for text in texts}
+    assert "all tables: 192/192 cells pass" in totals and len(totals) > 1
